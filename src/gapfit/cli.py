@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, autodiff
 from .benchmarks import BenchmarkKind
-from .datagen import MissingnessSpec, SimSpec, load_cohort, save_cohort, simulate_cohort
+from .datagen import (MissingnessSpec, SimSpec, _parse_count, load_cohort,
+                      save_cohort, simulate_cohort)
 from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
@@ -114,8 +115,6 @@ def _add_io_flags(p, needs_input=True):
         p.add_argument("--input", required=True, help="cohort CSV path")
         p.add_argument("--incidence-column", default="incidence")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallelism cap (execution is deterministic)")
 
 
 def _load(args):
@@ -323,11 +322,13 @@ def _load_future_z(path, incidence_column):
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.DictReader(fh), start=2):
             try:
-                out.setdefault(row["hospital_id"], {})[int(row["day"])] = \
-                    float(row[incidence_column])
+                hid, day, cell = (row["hospital_id"], int(row["day"]),
+                                  row[incidence_column])
             except (KeyError, TypeError, ValueError):
                 raise ParseError(f"{path}:{lineno}: bad future-z row",
                                  line=lineno) from None
+            out.setdefault(hid, {})[day] = _parse_count(
+                cell, "incidence", path, lineno)
     return out
 
 
@@ -350,33 +351,29 @@ def cmd_predict(args):
         if s.id not in betas:
             log.warning("no parameters for %s, skipped", s.id)
             continue
-        beta = betas[s.id]
-        scaled = s.with_scaled_z(scale)
-        traj = predict_trajectory(scaled, beta)
+        T = s.T
+        if horizon > 0:
+            # Forecast days are unreported days past T.  The incidence of day
+            # T + horizon feeds no prediction, so it is padded with 0.
+            zmap = future_z.get(s.id, {})
+            future = range(T + 1, T + horizon)
+            missing = [d for d in future if d not in zmap]
+            if missing:
+                raise UsageError(f"future z missing for {s.id} day {missing[0]}")
+            s = HospitalSeries(
+                s.id, np.concatenate([s.y, np.full(horizon, np.nan)]),
+                np.concatenate([s.z, [zmap[d] for d in future], [0.0]]))
+        traj = predict_trajectory(s.with_scaled_z(scale), betas[s.id])
         for t in range(s.T):
-            kind = "pre-report" if traj.y_tilde[t] is None else (
-                "observed" if s.r[t] else "bridged")
+            if t >= T:
+                kind = "forecast"
+            elif traj.y_tilde[t] is None:
+                kind = "pre-report"
+            else:
+                kind = "observed" if s.r[t] else "bridged"
             rows.append([s.id, t + 1,
                          _fmt(s.y[t]) if s.r[t] else "",
                          _fmt(traj.y_tilde[t]), _fmt(traj.dy_hat[t]), kind])
-        if horizon > 0:
-            zmap = future_z.get(s.id, {})
-            state = traj.y_tilde[-1]
-            if state is None:
-                continue
-            for h in range(1, horizon + 1):
-                day = s.T + h
-                prev_day = day - 1
-                if prev_day <= s.T:
-                    z_prev = float(s.z[prev_day - 1]) * scale
-                elif prev_day in zmap:
-                    z_prev = zmap[prev_day] * scale
-                else:
-                    raise UsageError(
-                        f"future z missing for {s.id} day {prev_day}")
-                inc = beta.b1 + beta.b2 * state + beta.b3 * z_prev
-                state = state + inc
-                rows.append([s.id, day, "", _fmt(state), _fmt(inc), "forecast"])
     _write_csv(os.path.join(outdir, "trajectory.csv"),
                ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
                rows)
@@ -491,19 +488,10 @@ def main(argv=None):
     except (UsageError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EvaluationError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GapfitError as exc:
+    except (GapfitError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

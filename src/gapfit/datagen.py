@@ -11,6 +11,7 @@ calibrated to roughly 6.4% missing reports overall.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,11 +252,30 @@ def save_cohort(cohort, path, truth=None, truth_path=None,
                     ])
 
 
+def _parse_count(cell, what, path, lineno):
+    """A finite, nonnegative count from one CSV cell.
+
+    Anything else raises :class:`ParseError` naming the file and line.
+    """
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}:{lineno}: bad {what} {cell!r}",
+                         line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno}: non-finite {what} {cell!r}",
+                         line=lineno)
+    if value < 0:
+        raise ParseError(f"{path}:{lineno}: negative {what}", line=lineno)
+    return value
+
+
 def load_cohort(path, incidence_column="incidence"):
     """Parse a cohort CSV; returns (cohort, warnings).
 
     Empty ``cases`` cells mean "not reported".  Hospitals with fewer than 2
-    reports are excluded with a warning; malformed rows raise
+    reports are excluded with a warning; malformed rows, including non-finite
+    or negative counts and a repeated (hospital_id, day), raise
     :class:`ParseError` with the offending line number.
     """
     rows = {}
@@ -279,33 +299,20 @@ def load_cohort(path, incidence_column="incidence"):
                 raise ParseError(f"{path}:{lineno}: day must be >= 1",
                                  line=lineno)
             cases_cell = (row["cases"] or "").strip()
-            if cases_cell == "":
-                cases = np.nan
-            else:
-                try:
-                    cases = float(cases_cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: bad cases {cases_cell!r}",
-                        line=lineno) from None
-                if cases < 0:
-                    raise ParseError(
-                        f"{path}:{lineno}: negative cases", line=lineno)
+            cases = (np.nan if cases_cell == "" else
+                     _parse_count(cases_cell, "cases", path, lineno))
             inc_cell = (row[incidence_column] or "").strip()
             if inc_cell == "":
                 raise ParseError(
                     f"{path}:{lineno}: missing incidence (z must be complete)",
                     line=lineno)
-            try:
-                inc = float(inc_cell)
-            except ValueError:
+            inc = _parse_count(inc_cell, "incidence", path, lineno)
+            days = rows.setdefault(hid, {})
+            if day in days:
                 raise ParseError(
-                    f"{path}:{lineno}: bad incidence {inc_cell!r}",
-                    line=lineno) from None
-            if inc < 0:
-                raise ParseError(
-                    f"{path}:{lineno}: negative incidence", line=lineno)
-            rows.setdefault(hid, {})[day] = (cases, inc)
+                    f"{path}:{lineno}: duplicate day {day} for {hid!r}",
+                    line=lineno)
+            days[day] = (cases, inc)
     cohort = []
     warnings = []
     for hid in rows:

@@ -104,16 +104,8 @@ class IncrementPredictor:
 
     def predict_cohort(self, cohort):
         scale = self.config.incidence_scale
-        heads = []
-        usable = []
-        for k, s in enumerate(cohort):
-            try:
-                head = s.truncated(s.T - 1)
-            except ValueError:
-                continue
-            if head.n_reports >= 2:
-                heads.append(head)
-                usable.append(k)
+        usable = [k for k, s in enumerate(cohort) if s.r[:-1].sum() >= 2]
+        heads = [cohort[k].truncated(cohort[k].T - 1) for k in usable]
         out = [LastPointPrediction(ok=False) for _ in cohort]
         if not heads:
             return out
@@ -122,13 +114,8 @@ class IncrementPredictor:
             res = cohort_fit.results[i]
             if res is None or not res.converged:
                 continue
-            scaled_head = heads[i].with_scaled_z(scale)
-            traj = predict_trajectory(scaled_head, res.beta)
-            prev = traj.y_tilde[-1]
-            b = res.beta
-            z_prev = float(cohort[k].z[cohort[k].T - 2]) * scale
-            inc = b.b1 + b.b2 * prev + b.b3 * z_prev
-            out[k] = LastPointPrediction(float(inc), float(prev))
+            traj = predict_trajectory(cohort[k].with_scaled_z(scale), res.beta)
+            out[k] = LastPointPrediction(traj.dy_hat[-1], traj.y_tilde[-2])
         return out
 
 

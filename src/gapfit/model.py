@@ -117,6 +117,29 @@ def _coefs(beta):
     return b1, b2, b3
 
 
+def _bridge(series, beta):
+    """Run the carry-forward recursion once over the whole series.
+
+    Returns ``(first, states, preds)``: ``first`` is the 0-based first
+    reported day, ``states[i]`` the bridged state on day ``first + i`` and
+    ``preds[i]`` the predicted increment into day ``first + 1 + i``.  Works on
+    plain floats and DiffScalars alike.
+    """
+    b1, b2, b3 = _coefs(beta)
+    # Plain-float views keep numpy scalar types out of DiffScalar arithmetic.
+    y, z, r = series.y.tolist(), series.z.tolist(), series.r.tolist()
+    first = r.index(True)
+    state = y[first]
+    states = [state]
+    preds = []
+    for t in range(first + 1, len(y)):
+        pred = b1 + b2 * state + b3 * z[t - 1]
+        state = y[t] if r[t] else state + pred
+        states.append(state)
+        preds.append(pred)
+    return first, states, preds
+
+
 def loss(series, beta):
     """Masked mean squared error of predicted increments.
 
@@ -128,28 +151,15 @@ def loss(series, beta):
     ``beta`` may hold plain floats or DiffScalars, so the same code serves as
     the differentiated loss.
     """
-    b1, b2, b3 = _coefs(beta)
-    # Plain-float views keep numpy scalar types out of DiffScalar arithmetic.
-    y, z, r = series.y.tolist(), series.z.tolist(), series.r
+    first, states, preds = _bridge(series, beta)
+    y, r = series.y[first + 1:].tolist(), series.r[first + 1:].tolist()
     sqerror = 0.0
     contribno = 0
-    firstseen = False
-    last_y = 0.0
-    for t in range(len(y)):
-        if not firstseen:
-            if r[t]:
-                firstseen = True
-                last_y = y[t]
-            continue
-        pred_dy = b1 + b2 * last_y + b3 * z[t - 1]
-        if r[t]:
-            dy = y[t] - last_y
-            diff = pred_dy - dy
+    for yt, rt, prev, pred in zip(y, r, states, preds):
+        if rt:
+            diff = pred - (yt - prev)
             sqerror = sqerror + diff * diff
             contribno += 1
-            last_y = y[t]
-        else:
-            last_y = last_y + pred_dy
     if contribno == 0:
         raise InsufficientDataError(
             f"series {series.id!r} has fewer than 2 reports")
@@ -162,24 +172,10 @@ def predict_trajectory(series, beta):
     Bridges every internal gap by the carry-forward recursion; entries before
     the first report are None.
     """
-    b1, b2, b3 = _coefs(beta)
-    y, z, r = series.y.tolist(), series.z.tolist(), series.r
-    y_tilde = [None] * len(y)
-    dy_hat = [None] * len(y)
-    firstseen = False
-    last_y = 0.0
-    for t in range(len(y)):
-        if not firstseen:
-            if r[t]:
-                firstseen = True
-                last_y = y[t]
-                y_tilde[t] = float(y[t])
-            continue
-        pred_dy = b1 + b2 * last_y + b3 * z[t - 1]
-        dy_hat[t] = float(pred_dy)
-        last_y = y[t] if r[t] else last_y + pred_dy
-        y_tilde[t] = float(last_y)
-    return Trajectory(y_tilde=y_tilde, dy_hat=dy_hat)
+    first, states, preds = _bridge(series, beta)
+    lead = [None] * first
+    return Trajectory(y_tilde=lead + [float(v) for v in states],
+                      dy_hat=lead + [None] + [float(v) for v in preds])
 
 
 def expand_gap(y_anchor, z_window, beta, gap_len):
@@ -212,11 +208,7 @@ def predict_last_increment(series, beta):
     Evaluates the bridged trajectory on days 1..T-1 and returns the predicted
     increment dy_hat for day T; independent of whether day T was reported.
     """
-    head = series.truncated(series.T - 1)
-    if head.n_reports < 2:
+    if int(series.r[:-1].sum()) < 2:
         raise InsufficientDataError(
             f"series {series.id!r} needs >= 2 reports before the last day")
-    b1, b2, b3 = _coefs(beta)
-    traj = predict_trajectory(head, beta)
-    y_prev = traj.y_tilde[-1]
-    return b1 + b2 * y_prev + b3 * series.z[series.T - 2]
+    return predict_trajectory(series, beta).dy_hat[-1]

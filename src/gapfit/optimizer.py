@@ -1,14 +1,17 @@
 """Gradient-descent and ADAM fitting of the increment model.
 
-Two interchangeable gradient engines compute the same loss:
+One driver, :func:`_run_batch`, runs the GD/ADAM updates, divergence masking
+and parameter sharing for a whole cohort.  It takes the loss and gradient of
+every hospital from one of two kernels with the same contract:
 
-* ``tape``: the reverse-mode autodiff engine from :mod:`gapfit.autodiff`,
-  differentiating :func:`gapfit.model.loss` directly.
 * ``batch`` (default): a numpy-vectorized forward-sensitivity recursion that
   propagates the three per-parameter sensitivities alongside the carried state.
   It evaluates whole cohorts at once and is the engine behind cohort-scale
   experiments; the test suite pins it against the tape engine and against
   finite differences.
+* ``tape``: the reverse-mode autodiff engine from :mod:`gapfit.autodiff`,
+  differentiating :func:`gapfit.model.loss` row by row.  It is the reference
+  the batch kernel is checked against.
 
 Both engines are deterministic: identical inputs produce bit-identical fits.
 """
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff
-from .errors import InsufficientDataError, UsageError, EvaluationError
-from .model import Beta, loss as model_loss
+from .errors import EvaluationError, InsufficientDataError, UsageError
+from .model import Beta, HospitalSeries, loss as model_loss
 
 __all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "l2_penalty",
            "detect_divergence", "jacobi_etas", "warm_start_inits"]
@@ -40,7 +43,7 @@ class FitConfig:
     ``auto_eta`` replaces ``eta`` with per-hospital steps from
     :func:`jacobi_etas` (scaled by ``eta_safety``); ``warm_start`` replaces
     ``init`` with per-hospital OLS starts from :func:`warm_start_inits`.
-    Both only affect the batch engine.
+    Both apply to either engine.
     """
 
     eta: tuple = (1e-3, 1e-3, 1e-4)
@@ -169,13 +172,41 @@ def _loss_grad_batch(y, r, z, beta, lam):
     return lossv, grad
 
 
+def _loss_grad_tape(y, r, z, beta, lam):
+    """Same contract as :func:`_loss_grad_batch`, from the scalar loss on a tape.
+
+    Differentiates :func:`gapfit.model.loss` (plus the L2 penalty) one hospital
+    at a time; a hospital whose evaluation turns non-finite gets NaN.
+    """
+    K = y.shape[0]
+    lossv = np.full(K, np.nan)
+    grad = np.full((K, 3), np.nan)
+    for k in range(K):
+        series = HospitalSeries(k, y[k], z[k])
+
+        def objective(b):
+            val = model_loss(series, b)
+            if lam > 0.0:
+                val = val + l2_penalty(b, lam)
+            return val
+
+        try:
+            res = autodiff.gradient(objective, beta[k])
+        except EvaluationError:
+            continue
+        lossv[k] = res.value
+        grad[k] = res.gradient
+    return lossv, grad
+
+
 def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                history=None):
     """Shared driver for independent and parameter-sharing fits.
 
-    ``shared_dims`` holds 0-based coefficient indices averaged across active
-    hospitals after every step.  ``eta`` and ``init`` may override the config
-    step sizes / initial parameters with per-hospital (K, 3) arrays.
+    ``config.engine`` picks the loss-and-gradient kernel.  ``shared_dims``
+    holds 0-based coefficient indices averaged across active hospitals after
+    every step.  ``eta`` and ``init`` may override the config step sizes /
+    initial parameters with per-hospital (K, 3) arrays.
     ``history``, when a list, receives a copy of the (K, 3) parameters after
     every step.
 
@@ -197,6 +228,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
     else:
         eta = np.asarray(eta, dtype=float)
     adam = config.method == "adam"
+    loss_grad = _loss_grad_tape if config.engine == "tape" else _loss_grad_batch
     m = np.zeros((K, 3))
     v = np.zeros((K, 3))
     trace = np.full((S + 1, K), np.nan)
@@ -204,7 +236,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
     steps_used = np.zeros(K, dtype=int)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s in range(S):
-            lossv, grad = _loss_grad_batch(y, r, z, beta, config.lam)
+            lossv, grad = loss_grad(y, r, z, beta, config.lam)
             trace[s] = lossv
             if adam:
                 m = config.adam_decay1 * m + (1.0 - config.adam_decay1) * grad
@@ -225,15 +257,14 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                 history.append(beta.copy())
             if not active.any():
                 break
-        lossv, _ = _loss_grad_batch(y, r, z, beta, config.lam)
+        lossv, _ = loss_grad(y, r, z, beta, config.lam)
         trace[S] = lossv
     return beta, trace, active, steps_used
 
 
 def _result_from_batch(beta_row, trace_col, steps_used):
     tr = [float(x) for x in trace_col if not math.isnan(x)] or [float("nan")]
-    finite = all(math.isfinite(x) for x in tr) and np.all(np.isfinite(beta_row))
-    converged = bool(finite and tr[-1] <= tr[0])
+    converged = not detect_divergence(tr, beta_row)
     return FitResult(
         beta=Beta.from_array(beta_row),
         loss_trace=tr,
@@ -315,71 +346,10 @@ def fit_cohort(cohort, config, eta=None, init=None):
     ]
 
 
-def _fit_tape(series, config):
-    """Reference single-series fit differentiating the scalar loss on a tape."""
-    beta = config.init.as_array()
-    eta = np.asarray(config.eta, dtype=float)
-    trace = []
-    m = np.zeros(3)
-    v = np.zeros(3)
-    adam = config.method == "adam"
-    diverged_early = False
-    steps_used = 0
-
-    def objective(b):
-        val = model_loss(series, b)
-        if config.lam > 0.0:
-            val = val + l2_penalty(b, config.lam)
-        return val
-
-    for s in range(config.steps):
-        try:
-            res = autodiff.gradient(objective, beta)
-        except EvaluationError:
-            diverged_early = True
-            break
-        trace.append(res.value)
-        grad = np.asarray(res.gradient)
-        if adam:
-            m = config.adam_decay1 * m + (1.0 - config.adam_decay1) * grad
-            v = config.adam_decay2 * v + (1.0 - config.adam_decay2) * grad * grad
-            mh = m / (1.0 - config.adam_decay1 ** (s + 1))
-            vh = v / (1.0 - config.adam_decay2 ** (s + 1))
-            beta = beta - eta * mh / (np.sqrt(vh) + config.adam_eps)
-        else:
-            beta = beta - eta * grad
-        steps_used += 1
-        if not np.all(np.isfinite(beta)):
-            diverged_early = True
-            break
-    if not diverged_early:
-        try:
-            trace.append(float(model_loss(series, beta))
-                         + (l2_penalty(beta, config.lam) if config.lam > 0 else 0.0))
-        except (EvaluationError, OverflowError):
-            diverged_early = True
-    if not trace:
-        trace = [float("nan")]
-    converged = not diverged_early and not detect_divergence(trace, beta)
-    return FitResult(
-        beta=Beta.from_array(beta),
-        loss_trace=trace,
-        converged=converged,
-        steps_used=steps_used,
-        fell_back=not converged,
-    )
-
-
 def fit(series, config=None):
     """Fit one hospital's coefficients by gradient descent (or ADAM).
 
     Never mutates the series.  ``converged`` is False when any non-finite
     value appeared or the final loss exceeds the initial loss.
     """
-    if config is None:
-        config = FitConfig()
-    if series.n_reports < 2:
-        raise InsufficientDataError(f"series {series.id!r} has fewer than 2 reports")
-    if config.engine == "tape":
-        return _fit_tape(series.with_scaled_z(config.incidence_scale), config)
-    return fit_cohort([series], config)[0]
+    return fit_cohort([series], config or FitConfig())[0]

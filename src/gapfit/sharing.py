@@ -9,7 +9,7 @@ dropped from subsequent means and flagged rather than aborting the cohort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,14 +66,12 @@ class CohortFit:
     """Per-hospital results of a joint fit.
 
     ``results[k]`` is a FitResult or None when hospital k never entered the
-    fit (too few reports).  ``mean_trace`` maps each shared dimension to the
-    sequence of global means recorded after every step.  ``history``, when
-    requested, holds the full (K, 3) parameter matrix after every step.
+    fit (too few reports).  ``history``, when requested, holds the full
+    (K, 3) parameter matrix after every step.
     """
 
     results: list
     excluded: list
-    mean_trace: dict = field(default_factory=dict)
     history: list | None = None
 
     @property
@@ -98,7 +96,6 @@ def fit_shared(cohort, spec, config=None, record_history=False):
     usable = [k for k, s in enumerate(cohort) if s.n_reports >= 2]
     excluded = [k for k in range(len(cohort)) if k not in set(usable)]
     results = [None] * len(cohort)
-    mean_trace = {d: [] for d in sorted(spec.shared_dims)}
     history = [] if record_history else None
     if usable:
         scaled = [cohort[k].with_scaled_z(config.incidence_scale) for k in usable]
@@ -135,21 +132,11 @@ def fit_shared(cohort, spec, config=None, record_history=False):
                 for k in finite:
                     results[k].converged = joint_ok
                     results[k].fell_back = not joint_ok
-        if history is not None:
-            for d in sorted(spec.shared_dims):
-                mean_trace[d] = [float(np.nanmean(h[:, d - 1])) for h in history]
-        elif spec.shared_dims:
-            # Without history only the final mean is known per dimension.
-            for d in sorted(spec.shared_dims):
-                col = beta[np.isfinite(beta).all(axis=1), d - 1]
-                mean_trace[d] = [float(col.mean())] if len(col) else []
     full_history = None
     if history is not None:
         full_history = []
         for h in history:
             mat = np.full((len(cohort), 3), np.nan)
-            for i, k in enumerate(usable):
-                mat[k] = h[i]
+            mat[usable] = h
             full_history.append(mat)
-    return CohortFit(results=results, excluded=excluded,
-                     mean_trace=mean_trace, history=full_history)
+    return CohortFit(results=results, excluded=excluded, history=full_history)

@@ -24,6 +24,13 @@ def _read(path):
         return fh.read()
 
 
+def _write(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def test_simulate_writes_cohort_truth_manifest(tmp_path):
     outdir = _simulate(tmp_path)
     assert (outdir / "cohort.csv").exists()
@@ -144,6 +151,102 @@ def test_predict_bridges_and_forecasts(tmp_path):
               "--output-dir", str(tmp_path / "p2"),
               "--params", str(fitdir / "params.csv"), "--horizon", "3")
     assert rc == 2
+
+    # forecasts carry the model forward from the last bridged state
+    T, H, scale = 24, 3, 0.01
+    with open(outdir / "cohort.csv") as fh:
+        z = {(r["hospital_id"], int(r["day"])): float(r["incidence"])
+             for r in csv.DictReader(fh)}
+    future_z = {(hid, day): 7.5 * day for hid, _ in z
+                for day in range(T + 1, T + H + 1)}
+    z.update(future_z)
+    future = tmp_path / "future.csv"
+    _write(future, ["hospital_id", "day", "incidence"],
+           [[hid, day, v] for (hid, day), v in sorted(future_z.items())])
+    rc = _run("predict", "--input", str(outdir / "cohort.csv"),
+              "--output-dir", str(tmp_path / "p3"),
+              "--params", str(fitdir / "params.csv"), "--horizon", str(H),
+              "--future-z", str(future))
+    assert rc == 0
+    with open(fitdir / "params.csv") as fh:
+        betas = {r["hospital_id"]: [float(r[k]) for k in ("b1", "b2", "b3")]
+                 for r in csv.DictReader(fh)}
+    with open(tmp_path / "p3" / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    forecasts = [r for r in rows if r["kind"] == "forecast"]
+    assert len(forecasts) == H * len(betas)
+    for hid, (b1, b2, b3) in betas.items():
+        state = float(next(r["y_tilde"] for r in rows
+                           if r["hospital_id"] == hid and int(r["day"]) == T))
+        mine = [r for r in forecasts if r["hospital_id"] == hid]
+        for day, row in zip(range(T + 1, T + H + 1), mine):
+            inc = b1 + b2 * state + b3 * z[hid, day - 1] * scale
+            state = state + inc
+            assert int(row["day"]) == day and row["observed"] == ""
+            assert float(row["dy_hat"]) == pytest.approx(inc, rel=1e-12)
+            assert float(row["y_tilde"]) == pytest.approx(state, rel=1e-12)
+
+    # a future day missing from the file is a usage error
+    _write(future, ["hospital_id", "day", "incidence"], [["h0", T + 1, 1.0]])
+    rc = _run("predict", "--input", str(outdir / "cohort.csv"),
+              "--output-dir", str(tmp_path / "p4"),
+              "--params", str(fitdir / "params.csv"), "--horizon", str(H),
+              "--future-z", str(future))
+    assert rc == 2
+
+
+# Each case puts one bad cell into an otherwise valid predict run: (file,
+# 0-based data row, column, cell).  Every one must exit 1 naming its line.
+BAD_CELLS = [
+    ("cohort", 1, "incidence", "nan"),
+    ("cohort", 2, "incidence", "-inf"),
+    ("cohort", 2, "cases", "inf"),
+    ("cohort", 1, "cases", "nan"),
+    ("cohort", 3, "day", "3"),  # duplicates the (a, 3) row above it
+    ("future", 0, "incidence", "nan"),
+    ("future", 1, "incidence", "-2.5"),
+    ("future", 1, "incidence", "inf"),
+]
+
+
+@pytest.mark.parametrize("target, index, column, cell", BAD_CELLS)
+def test_bad_input_cell_exits_1_with_line(tmp_path, capsys, target, index,
+                                          column, cell):
+    tables = {
+        "cohort": [{"hospital_id": "a", "day": d, "cases": c, "incidence": 1.0}
+                   for d, c in enumerate([2.0, 3.0, 3.0, 4.0], start=1)],
+        "future": [{"hospital_id": "a", "day": d, "incidence": 2.0}
+                   for d in (5, 6, 7)],
+    }
+    tables[target][index][column] = cell
+    for name, rows in tables.items():
+        _write(tmp_path / f"{name}.csv", list(rows[0]),
+               [list(r.values()) for r in rows])
+    _write(tmp_path / "params.csv", ["hospital_id", "b1", "b2", "b3"],
+           [["a", 0.1, -0.01, 0.2]])
+    rc = _run("predict", "--input", str(tmp_path / "cohort.csv"),
+              "--output-dir", str(tmp_path / "out"),
+              "--params", str(tmp_path / "params.csv"), "--horizon", "3",
+              "--future-z", str(tmp_path / "future.csv"))
+    assert rc == 1
+    assert f"{target}.csv:{index + 2}:" in capsys.readouterr().err
+
+
+def test_rerun_accepts_manifest_with_threads(tmp_path):
+    # Manifests written before --threads was removed still carry it.
+    outdir = _simulate(tmp_path)
+    fitdir = tmp_path / "fit"
+    assert _run("fit", "--input", str(outdir / "cohort.csv"),
+                "--output-dir", str(fitdir), "--steps", "40") == 0
+    manifest = json.loads((fitdir / "manifest.json").read_text())
+    assert "threads" not in manifest["args"]
+    manifest["args"]["threads"] = 1
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    redo = tmp_path / "redo"
+    assert _run("rerun", str(old), "--output-dir", str(redo)) == 0
+    for name in ("params.csv", "traces.csv"):
+        assert _read(fitdir / name) == _read(redo / name)
 
 
 def test_rerun_reproduces_bit_exactly(tmp_path):

@@ -107,14 +107,21 @@ def test_warm_start_at_truth_stays_there():
 
 def test_batch_and_tape_engines_agree():
     rng = np.random.Generator(np.random.PCG64(41))
+    settings = [
+        dict(eta=(1e-3, 1e-3, 1e-4), steps=80, lam=0.1),
+        dict(method="adam", eta=(1e-2, 1e-2, 1e-2), steps=80),
+        dict(steps=80, auto_eta=True, warm_start=True),
+    ]
     for _ in range(5):
         s = random_gapped_series(rng, T=14)
-        kwargs = dict(eta=(1e-3, 1e-3, 1e-4), steps=80, lam=0.1)
-        batch = fit(s, FitConfig(engine="batch", **kwargs))
-        tape = fit(s, FitConfig(engine="tape", **kwargs))
-        assert batch.beta.as_array() == pytest.approx(
-            tape.beta.as_array(), rel=1e-9, abs=1e-12)
-        assert batch.loss_trace == pytest.approx(tape.loss_trace, rel=1e-9)
+        for kwargs in settings:
+            batch = fit(s, FitConfig(engine="batch", **kwargs))
+            tape = fit(s, FitConfig(engine="tape", **kwargs))
+            assert batch.beta.as_array() == pytest.approx(
+                tape.beta.as_array(), rel=1e-9, abs=1e-12), kwargs
+            assert batch.loss_trace == pytest.approx(tape.loss_trace, rel=1e-9)
+            assert batch.steps_used == tape.steps_used
+            assert batch.converged == tape.converged
 
 
 def test_adam_runs_and_descends(anchor_series):

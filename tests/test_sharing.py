@@ -90,13 +90,16 @@ def test_underreported_hospitals_excluded_not_fatal():
     assert all(r is not None for r in joint.results[:3])
 
 
-def test_mean_trace_recorded_per_shared_dim():
+def test_history_records_shared_means_per_step():
     cohort = _cohort(5, n=4)
     spec = SharingSpec(frozenset({1, 2}))
     joint = fit_shared(cohort, spec, FitConfig(steps=30), record_history=True)
-    assert sorted(joint.mean_trace) == [1, 2]
-    assert len(joint.mean_trace[1]) == 30
-    assert all(np.isfinite(v) for v in joint.mean_trace[1])
+    assert len(joint.history) == 30
+    for d in (1, 2):
+        means = [float(np.nanmean(h[:, d - 1])) for h in joint.history]
+        assert all(np.isfinite(v) for v in means)
+    # the shared means move with the fit
+    assert joint.history[0][0, 0] != joint.history[-1][0, 0]
 
 
 def test_shared_convergence_judged_on_joint_loss():
