@@ -163,8 +163,13 @@ def cmd_fit(args):
         if res is None:
             param_rows.append([s.id, "", "", "", "false", "true", 0, ""])
             continue
+        coefs = res.beta.as_array()
+        # a diverged fit's non-finite coefficients are left blank, so
+        # ``predict`` skips that hospital as one without parameters
+        cells = ([_fmt(c) for c in coefs] if np.isfinite(coefs).all()
+                 else ["", "", ""])
         param_rows.append([
-            s.id, _fmt(res.beta.b1), _fmt(res.beta.b2), _fmt(res.beta.b3),
+            s.id, *cells,
             "true" if res.converged else "false",
             "true" if res.fell_back else "false",
             res.steps_used, _fmt(res.loss_trace[-1]),
@@ -309,11 +314,15 @@ def _load_params(path):
             if not row.get("b1"):
                 continue
             try:
-                betas[row["hospital_id"]] = Beta(
-                    float(row["b1"]), float(row["b2"]), float(row["b3"]))
+                hid = row["hospital_id"]
+                coefs = [float(row[c]) for c in ("b1", "b2", "b3")]
             except (KeyError, TypeError, ValueError):
                 raise ParseError(f"{path}:{lineno}: bad parameter row",
                                  line=lineno) from None
+            if not np.isfinite(coefs).all():
+                raise ParseError(f"{path}:{lineno}: non-finite coefficient",
+                                 line=lineno)
+            betas[hid] = Beta(*coefs)
     return betas
 
 

@@ -4,22 +4,28 @@ One driver, :func:`_run_batch`, runs the GD/ADAM updates, divergence masking
 and parameter sharing for a whole cohort.  It takes the loss and gradient of
 every hospital from one of two kernels with the same contract:
 
-* ``batch`` (default): a numpy-vectorized forward-sensitivity recursion that
-  propagates the three per-parameter sensitivities alongside the carried state.
-  It evaluates whole cohorts at once and is the engine behind cohort-scale
-  experiments; the test suite pins it against the tape engine and against
-  finite differences.
+* ``batch`` (default): a gap-aware numpy kernel over the cohort.  Once per
+  fit, :class:`_Residuals` splits the scored residuals by whether the
+  previous day was reported.  Those that follow a report are linear in beta
+  and are scored each step in one dense masked pass.  Those that close a
+  reporting gap are flattened into segments and bridged one gap depth at a
+  time, carrying the state and its three forward sensitivities
+  d(state)/d(beta).  The test suite pins this kernel against the tape engine
+  and against finite differences.
 * ``tape``: the reverse-mode autodiff engine from :mod:`gapfit.autodiff`,
   differentiating :func:`gapfit.model.loss` row by row.  It is the reference
   the batch kernel is checked against.
 
-Both engines are deterministic: identical inputs produce bit-identical fits.
+Both engines are deterministic, and a hospital's result does not depend on
+which other hospitals share its batch: identical inputs produce bit-identical
+fits.  A row whose loss or gradient turns non-finite gets NaN from either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -109,7 +115,7 @@ def detect_divergence(trace, beta):
 
 
 # ---------------------------------------------------------------------------
-# batched forward-sensitivity engine
+# gap-aware batch kernel
 
 
 def _batch_arrays(cohort):
@@ -123,59 +129,107 @@ def _batch_arrays(cohort):
     return y, r, z
 
 
-def _loss_grad_batch(y, r, z, beta, lam):
+class _Residuals:
+    """The scored residuals of a cohort, laid out once per fit.
+
+    A residual on day t whose previous day was reported is linear in beta.
+    Those are kept as masked dense (K, T-1) arrays: ``w`` is 1.0 where days t
+    and t-1 are both reported, and ``y_prev``, ``z_prev`` and ``dy`` are
+    zeroed where it is 0, so a masked-off cell scores exactly 0.  Every other
+    scored residual closes a gap segment: a report on day t after the last
+    report on day t0 < t-1, with depth g = t-1-t0 carried steps.  Segments
+    are sorted deepest first (stable on hospital, day), so the ones still
+    carrying at depth j are the prefix of length ``len(z_depth[j])``.
+    """
+
+    def __init__(self, y, r, z):
+        K, T = y.shape
+        direct = r[:, 1:] & r[:, :-1]
+        self.w = direct.astype(float)
+        self.y_prev = np.where(direct, y[:, :-1], 0.0)
+        self.z_prev = np.where(direct, z[:, :-1], 0.0)
+        self.dy = np.where(direct, y[:, 1:] - y[:, :-1], 0.0)
+        # last reported day at or before day t-1, -1 before the first report
+        last = np.maximum.accumulate(np.where(r, np.arange(T), -1), axis=1)
+        last = last[:, :-1]
+        hosp, prev = np.nonzero(r[:, 1:] & ~r[:, :-1] & (last >= 0))
+        anchor_day = last[hosp, prev]
+        depth = prev - anchor_day
+        order = np.argsort(-depth, kind="stable")
+        hosp, prev = hosp[order], prev[order]
+        anchor_day, depth = anchor_day[order], depth[order]
+        self.hosp = hosp
+        self.anchor = y[hosp, anchor_day]
+        self.target = y[hosp, prev + 1]
+        self.z_last = z[hosp, prev]
+        # the first carrying[j] segments have depth > j
+        carrying = np.searchsorted(-depth, -np.arange(depth.max(initial=0)))
+        self.z_depth = [z[hosp[:n], anchor_day[:n] + j]
+                        for j, n in enumerate(carrying)]
+        self.count = direct.sum(axis=1) + np.bincount(hosp, minlength=K)
+
+
+def _loss_grad_batch(res, beta, lam):
     """Loss and gradient for every hospital at once.
 
-    ``beta`` is (K, 3).  Propagates d(state)/d(beta) through the carry-forward
-    recursion, which is exactly the derivative of the executed path of the
-    scalar loss.  Returns (loss (K,), grad (K, 3)).
+    ``res`` is the cohort's :class:`_Residuals` and ``beta`` is (K, 3).  Gap
+    segments carry the bridged state and its forward sensitivities
+    d(state)/d(beta), exactly the derivative of the executed path of the
+    scalar loss.  A row whose loss or gradient is non-finite gets NaN, as
+    from the tape engine.  Returns (loss (K,), grad (K, 3)).
     """
-    K, T = y.shape
-    b1, b2, b3 = beta[:, 0], beta[:, 1], beta[:, 2]
-    seen = r[:, 0].copy()
-    ly = np.where(seen, y[:, 0], 0.0)
-    d0 = np.zeros(K)
-    d1 = np.zeros(K)
-    d2 = np.zeros(K)
-    sqe = np.zeros(K)
-    g0 = np.zeros(K)
-    g1 = np.zeros(K)
-    g2 = np.zeros(K)
-    cnt = np.zeros(K)
-    for t in range(1, T):
-        zt = z[:, t - 1]
-        pred = b1 + b2 * ly + b3 * zt
-        dp0 = 1.0 + b2 * d0
-        dp1 = ly + b2 * d1
-        dp2 = zt + b2 * d2
-        rt = r[:, t]
-        score = seen & rt
-        yt = y[:, t]
-        resid = np.where(score, pred - (yt - ly), 0.0)
-        sqe += resid * resid
-        cnt += score
-        two_r = 2.0 * resid
-        g0 += two_r * np.where(score, dp0 + d0, 0.0)
-        g1 += two_r * np.where(score, dp1 + d1, 0.0)
-        g2 += two_r * np.where(score, dp2 + d2, 0.0)
-        carried = seen & ~rt
-        ly = np.where(rt, yt, np.where(seen, ly + pred, ly))
-        d0 = np.where(carried, d0 + dp0, 0.0)
-        d1 = np.where(carried, d1 + dp1, 0.0)
-        d2 = np.where(carried, d2 + dp2, 0.0)
-        seen = seen | rt
-    lossv = sqe / cnt
-    grad = np.stack([g0 / cnt, g1 / cnt, g2 / cnt], axis=1)
+    K = beta.shape[0]
+    b1, b2, b3 = beta[:, 0:1], beta[:, 1:2], beta[:, 2:3]
+    resid = res.w * b1
+    resid += res.y_prev * b2
+    resid += res.z_prev * b3
+    resid -= res.dy
+    sqe = (resid * resid).sum(axis=1)
+    g0 = resid.sum(axis=1)
+    g1 = (resid * res.y_prev).sum(axis=1)
+    g2 = (resid * res.z_prev).sum(axis=1)
+    if res.hosp.size:
+        h = res.hosp
+        c1, c2, c3 = beta[h, 0], beta[h, 1], beta[h, 2]
+        x = res.anchor.copy()
+        d0 = np.zeros_like(x)
+        d1 = np.zeros_like(x)
+        d2 = np.zeros_like(x)
+        growth = 1.0 + c2
+        for zj in res.z_depth:
+            # one carried day for the first n segments, in place:
+            # (d0, d1, d2) <- growth*(d0, d1, d2) + (1, state, z), then
+            # state <- growth*state + b1 + b3*z
+            n = len(zj)
+            gn, xn = growth[:n], x[:n]
+            for d, dpred in ((d0, 1.0), (d1, xn), (d2, zj)):
+                dn = d[:n]
+                dn *= gn
+                dn += dpred
+            xn *= gn
+            xn += c1[:n]
+            xn += c3[:n] * zj
+        e = c1 + c2 * x + c3 * res.z_last - (res.target - x)
+        sqe += np.bincount(h, e * e, K)
+        g0 += np.bincount(h, e * (growth * d0 + 1.0), K)
+        g1 += np.bincount(h, e * (growth * d1 + x), K)
+        g2 += np.bincount(h, e * (growth * d2 + res.z_last), K)
+    lossv = sqe / res.count
+    grad = np.stack([g0, g1, g2], axis=1) * (2.0 / res.count)[:, None]
     if lam > 0.0:
-        lossv = lossv + lam * (b1 * b1 + b2 * b2 + b3 * b3)
+        lossv = lossv + lam * (beta * beta).sum(axis=1)
         grad = grad + (2.0 * lam) * beta
+    bad = ~(np.isfinite(lossv) & np.isfinite(grad).all(axis=1))
+    lossv[bad] = np.nan
+    grad[bad] = np.nan
     return lossv, grad
 
 
-def _loss_grad_tape(y, r, z, beta, lam):
+def _loss_grad_tape(y, z, beta, lam):
     """Same contract as :func:`_loss_grad_batch`, from the scalar loss on a tape.
 
-    Differentiates :func:`gapfit.model.loss` (plus the L2 penalty) one hospital
+    Takes the cohort's (K, T) ``y`` and ``z`` in place of the layout and
+    differentiates :func:`gapfit.model.loss` (plus the L2 penalty) one hospital
     at a time; a hospital whose evaluation turns non-finite gets NaN.
     """
     K = y.shape[0]
@@ -228,7 +282,10 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
     else:
         eta = np.asarray(eta, dtype=float)
     adam = config.method == "adam"
-    loss_grad = _loss_grad_tape if config.engine == "tape" else _loss_grad_batch
+    if config.engine == "tape":
+        loss_grad = partial(_loss_grad_tape, y, z)
+    else:
+        loss_grad = partial(_loss_grad_batch, _Residuals(y, r, z))
     m = np.zeros((K, 3))
     v = np.zeros((K, 3))
     trace = np.full((S + 1, K), np.nan)
@@ -236,7 +293,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
     steps_used = np.zeros(K, dtype=int)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s in range(S):
-            lossv, grad = loss_grad(y, r, z, beta, config.lam)
+            lossv, grad = loss_grad(beta, config.lam)
             trace[s] = lossv
             if adam:
                 m = config.adam_decay1 * m + (1.0 - config.adam_decay1) * grad
@@ -257,7 +314,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                 history.append(beta.copy())
             if not active.any():
                 break
-        lossv, _ = loss_grad(y, r, z, beta, config.lam)
+        lossv, _ = loss_grad(beta, config.lam)
         trace[S] = lossv
     return beta, trace, active, steps_used
 

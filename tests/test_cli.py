@@ -65,6 +65,23 @@ def test_fit_and_share_all_equalizes_parameters(tmp_path):
     assert len({(r["b1"], r["b2"], r["b3"]) for r in rows}) == 1
 
 
+def test_diverged_fit_leaves_blank_coefficients_predict_skips(tmp_path):
+    outdir = _simulate(tmp_path)
+    fitdir = tmp_path / "fit"
+    rc = _run("fit", "--input", str(outdir / "cohort.csv"),
+              "--output-dir", str(fitdir), "--steps", "50",
+              "--eta", "1e3,1e3,1e3")
+    assert rc == 0
+    with open(fitdir / "params.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["converged"] == "false" for r in rows)
+    assert all(r["b1"] == r["b2"] == r["b3"] == "" for r in rows)
+    rc = _run("predict", "--input", str(outdir / "cohort.csv"),
+              "--output-dir", str(tmp_path / "pred"),
+              "--params", str(fitdir / "params.csv"))
+    assert rc == 0
+
+
 def test_fit_missing_input_exits_1(tmp_path):
     rc = _run("fit", "--input", str(tmp_path / "nope.csv"),
               "--output-dir", str(tmp_path / "out"))
@@ -206,6 +223,8 @@ BAD_CELLS = [
     ("future", 0, "incidence", "nan"),
     ("future", 1, "incidence", "-2.5"),
     ("future", 1, "incidence", "inf"),
+    ("params", 0, "b1", "nan"),
+    ("params", 0, "b1", "inf"),
 ]
 
 
@@ -217,13 +236,12 @@ def test_bad_input_cell_exits_1_with_line(tmp_path, capsys, target, index,
                    for d, c in enumerate([2.0, 3.0, 3.0, 4.0], start=1)],
         "future": [{"hospital_id": "a", "day": d, "incidence": 2.0}
                    for d in (5, 6, 7)],
+        "params": [{"hospital_id": "a", "b1": 0.1, "b2": -0.01, "b3": 0.2}],
     }
     tables[target][index][column] = cell
     for name, rows in tables.items():
         _write(tmp_path / f"{name}.csv", list(rows[0]),
                [list(r.values()) for r in rows])
-    _write(tmp_path / "params.csv", ["hospital_id", "b1", "b2", "b3"],
-           [["a", 0.1, -0.01, 0.2]])
     rc = _run("predict", "--input", str(tmp_path / "cohort.csv"),
               "--output-dir", str(tmp_path / "out"),
               "--params", str(tmp_path / "params.csv"), "--horizon", "3",

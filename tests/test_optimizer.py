@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, HospitalSeries, loss
-from gapfit.optimizer import (FitConfig, detect_divergence, fit, fit_cohort,
-                              jacobi_etas, l2_penalty, warm_start_inits)
+from gapfit.optimizer import (FitConfig, _Residuals, _loss_grad_batch,
+                              _loss_grad_tape, detect_divergence, fit,
+                              fit_cohort, jacobi_etas, l2_penalty,
+                              warm_start_inits)
 
 from conftest import make_series, random_gapped_series
 
@@ -122,6 +125,81 @@ def test_batch_and_tape_engines_agree():
             assert batch.loss_trace == pytest.approx(tape.loss_trace, rel=1e-9)
             assert batch.steps_used == tape.steps_used
             assert batch.converged == tape.converged
+
+
+@pytest.mark.parametrize("method, eta", [("gd", 1e3), ("gd", 10.0),
+                                         ("adam", 1e3)])
+def test_batch_and_tape_engines_agree_on_diverged_fits(anchor_series, method,
+                                                       eta):
+    # GD at these steps overflows; both engines turn the row NaN at the
+    # first non-finite loss or gradient instead of keeping a huge beta.
+    # ADAM's bounded steps make the loss rise without overflowing.
+    rng = np.random.Generator(np.random.PCG64(43))
+    for s in [anchor_series, random_gapped_series(rng, T=14)]:
+        kwargs = dict(method=method, eta=(eta, eta, eta), steps=100,
+                      incidence_scale=1.0)
+        batch = fit(s, FitConfig(engine="batch", **kwargs))
+        tape = fit(s, FitConfig(engine="tape", **kwargs))
+        assert batch.steps_used == tape.steps_used
+        assert batch.converged == tape.converged
+        assert batch.loss_trace == pytest.approx(tape.loss_trace, rel=1e-9)
+        assert np.all(np.isfinite(batch.loss_trace))
+        if method == "gd":
+            assert not batch.converged
+            assert batch.steps_used < 100
+            assert np.isnan(batch.beta.as_array()).all()
+            assert np.isnan(tape.beta.as_array()).all()
+
+
+def _row_mask(kind, T, rng):
+    """Report mask of one row of a kernel test cohort."""
+    r = np.ones(T, dtype=bool)
+    if kind == "leading":
+        r[:rng.integers(1, T - 1)] = False
+    elif kind == "trailing":
+        r[T - rng.integers(1, T - 1):] = False
+    elif kind == "long_gap":
+        r[1:-1] = False
+    elif kind == "no_direct":
+        r[1::2] = False
+    elif kind == "random":
+        r = rng.random(T) < rng.uniform(0.2, 1.0)
+        r[rng.choice(T, 2, replace=False)] = True
+    return r
+
+
+@st.composite
+def kernel_cohorts(draw):
+    """(y, r, z) with every row kind once, plus random rows, shuffled."""
+    T = draw(st.integers(min_value=4, max_value=16))
+    extra = draw(st.integers(min_value=0, max_value=4))
+    rng = np.random.Generator(np.random.PCG64(
+        draw(st.integers(min_value=0, max_value=2**32))))
+    kinds = ["full", "leading", "trailing", "long_gap", "no_direct"]
+    kinds += ["random"] * extra
+    r = np.stack([_row_mask(k, T, rng) for k in rng.permutation(kinds)])
+    y = np.where(r, rng.uniform(0.0, 60.0, r.shape), np.nan)
+    z = rng.uniform(0.0, 5.0, r.shape)
+    beta = rng.uniform(-0.4, 0.4, (len(r), 3))
+    return y, r, z, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cohorts(), st.sampled_from([0.0, 0.3]))
+def test_batch_kernel_matches_tape_and_is_row_local(cohort, lam):
+    y, r, z, beta = cohort
+    loss_b, grad_b = _loss_grad_batch(_Residuals(y, r, z), beta, lam)
+    loss_t, grad_t = _loss_grad_tape(y, z, beta, lam)
+    np.testing.assert_allclose(loss_b, loss_t, rtol=1e-9)
+    # a component that cancels to near zero is held to its terms' scale
+    scale = 1e-12 * (1.0 + np.abs(grad_t).max(axis=1, keepdims=True))
+    assert np.all(np.abs(grad_b - grad_t) <= 1e-9 * np.abs(grad_t) + scale)
+    for k in range(len(y)):
+        row = slice(k, k + 1)
+        loss_k, grad_k = _loss_grad_batch(_Residuals(y[row], r[row], z[row]),
+                                          beta[row], lam)
+        assert loss_k.tobytes() == loss_b[row].tobytes()
+        assert grad_k.tobytes() == grad_b[row].tobytes()
 
 
 def test_adam_runs_and_descends(anchor_series):
