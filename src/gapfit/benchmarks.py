@@ -39,15 +39,9 @@ def locf_impute(y, r=None):
         r = np.asarray(r, dtype=bool)
     if not r.any():
         raise InsufficientDataError("cannot impute an all-missing series")
-    out = np.empty_like(y)
-    first = int(np.argmax(r))
-    last = y[first]
-    out[: first + 1] = last
-    for t in range(first + 1, len(y)):
-        if r[t]:
-            last = y[t]
-        out[t] = last
-    return out
+    # the latest report at or before each day; the first one before it
+    source = np.where(r, np.arange(len(y)), int(np.argmax(r)))
+    return y[np.maximum.accumulate(source)]
 
 
 def predict_zero(series):

@@ -72,6 +72,12 @@ def _write_manifest(outdir, command, args, artifacts):
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
+def _require_finite(name, values):
+    """A NaN or infinite number in ``values`` is a usage error."""
+    if not np.isfinite(values).all():
+        raise UsageError(f"{name} must be finite, got {values!r}")
+
+
 def _parse_floats(text, n=None):
     parts = [p for p in text.split(",") if p.strip() != ""]
     try:
@@ -80,7 +86,16 @@ def _parse_floats(text, n=None):
         raise UsageError(f"cannot parse float list {text!r}") from None
     if n is not None and len(values) != n:
         raise UsageError(f"expected {n} comma-separated values, got {text!r}")
+    _require_finite(f"each value of {text!r}", values)
     return values
+
+
+def _dispatch(handler, args):
+    """Run ``handler`` after checking that every float argument is finite."""
+    for key, value in args.items():
+        if isinstance(value, float):
+            _require_finite(key, value)
+    return handler(args)
 
 
 def _fit_config(args):
@@ -410,7 +425,7 @@ def cmd_rerun(args):
     run_args = dict(manifest["args"])
     if args.get("output_dir"):
         run_args["output_dir"] = args["output_dir"]
-    return _HANDLERS[command](run_args)
+    return _dispatch(_HANDLERS[command], run_args)
 
 
 def build_parser():
@@ -493,7 +508,7 @@ def main(argv=None):
     command = args.pop("command")
     handler = cmd_rerun if command == "rerun" else _HANDLERS[command]
     try:
-        return handler(args)
+        return _dispatch(handler, args)
     except (UsageError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -215,26 +215,18 @@ def simulate_cohort(spec):
 # cohort CSV I/O
 
 
-def save_cohort(cohort, path, truth=None, truth_path=None,
-                extra_incidence=None):
+def save_cohort(cohort, path, truth=None, truth_path=None):
     """Write a cohort in the long CSV schema; optionally a truth sidecar.
 
-    ``extra_incidence`` maps column names to {hospital_id: array} for
-    alternative incidence variants.  Floats are serialized at full round-trip
-    precision.
+    Floats are serialized at full round-trip precision.
     """
-    extra = extra_incidence or {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["hospital_id", "day", "cases", "incidence",
-                         *extra.keys()])
+        writer.writerow(["hospital_id", "day", "cases", "incidence"])
         for s in cohort:
             for t in range(s.T):
                 cases = repr(float(s.y[t])) if s.r[t] else ""
-                row = [s.id, t + 1, cases, repr(float(s.z[t]))]
-                for col in extra:
-                    row.append(repr(float(extra[col][s.id][t])))
-                writer.writerow(row)
+                writer.writerow([s.id, t + 1, cases, repr(float(s.z[t]))])
     if truth is not None:
         if truth_path is None:
             raise UsageError("truth_path required when truth is given")

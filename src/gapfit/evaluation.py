@@ -171,8 +171,9 @@ def sliding_windows(T, length):
     """All length-`length` windows of a T-day period, in order."""
     if length > T:
         raise UsageError(f"window length {length} exceeds series length {T}")
-    if length < 1:
-        raise UsageError("window length must be >= 1")
+    if length < 3:
+        raise UsageError("window length must be >= 3: two fitting days "
+                         "and the scored day")
     return [WindowSpec(start, length) for start in range(1, T - length + 2)]
 
 
@@ -302,7 +303,7 @@ def _reconstruct_benchmark(kind, series):
     return recon
 
 
-def censor_and_recover(cohort, spec, config=None, models=_RECOVER_MODELS):
+def censor_and_recover(cohort, spec, config=None):
     """Censor fully reported series at random and score trajectory recovery.
 
     The first day is always retained (the increment model needs an anchor) and
@@ -325,7 +326,7 @@ def censor_and_recover(cohort, spec, config=None, models=_RECOVER_MODELS):
         raise UsageError(
             f"rate {spec.rate} would leave fewer than 2 reports on T={T}")
     K = len(cohort)
-    acc = {m: np.zeros(K) for m in models}
+    acc = {m: np.zeros(K) for m in _RECOVER_MODELS}
     flags = []
     for rep in range(spec.repetitions):
         rng = np.random.Generator(np.random.PCG64(
@@ -336,12 +337,10 @@ def censor_and_recover(cohort, spec, config=None, models=_RECOVER_MODELS):
             y = s.y.copy()
             y[drop] = np.nan
             censored.append(type(s)(s.id, y, s.z))
-        inc_fit = None
-        if "increment" in models:
-            inc_fit = fit_shared(censored, SharingSpec(), config)
+        inc_fit = fit_shared(censored, SharingSpec(), config)
         for k, s in enumerate(cohort):
             truth = s.y
-            for m in models:
+            for m in _RECOVER_MODELS:
                 if m == "increment":
                     res = inc_fit.results[k]
                     if res is not None and res.converged:
@@ -354,18 +353,17 @@ def censor_and_recover(cohort, spec, config=None, models=_RECOVER_MODELS):
                 else:
                     recon = _reconstruct_benchmark(m, censored[k])
                 acc[m][k] += float(np.mean((recon - truth) ** 2))
-    per_hospital = {m: acc[m] / spec.repetitions for m in models}
-    summary = {m: _summarize(per_hospital[m]) for m in models}
+    per_hospital = {m: acc[m] / spec.repetitions for m in _RECOVER_MODELS}
+    summary = {m: _summarize(per_hospital[m]) for m in _RECOVER_MODELS}
     return CensorReport(rate=spec.rate, repetitions=spec.repetitions,
                         seed=spec.seed, per_hospital=per_hospital,
                         summary=summary, flags=flags)
 
 
-def censor_sweep(cohort, rates, repetitions, seed, config=None,
-                 models=_RECOVER_MODELS):
+def censor_sweep(cohort, rates, repetitions, seed, config=None):
     """Run censor_and_recover for several rates; returns a report per rate."""
     return [censor_and_recover(cohort,
                                CensorSpec(rate=r, repetitions=repetitions,
                                           seed=seed),
-                               config=config, models=models)
+                               config=config)
             for r in rates]

@@ -143,14 +143,22 @@ def _bridge(series, beta):
 def loss(series, beta):
     """Masked mean squared error of predicted increments.
 
-    Leading missing days are skipped; from the first report onward the model
-    predicts each day's increment, scores the squared residual on reported
-    days, and carries its own prediction forward on missing days.  Returns the
-    summed squared error divided by the number of scored residuals.
+    Leading missing days are skipped; from the first report to the last the
+    model predicts each day's increment, scores the squared residual on
+    reported days, and carries its own prediction forward on missing days.
+    Returns the summed squared error divided by the number of scored
+    residuals.
 
     ``beta`` may hold plain floats or DiffScalars, so the same code serves as
     the differentiated loss.
     """
+    if series.n_reports < 2:
+        raise InsufficientDataError(
+            f"series {series.id!r} has fewer than 2 reports")
+    # Nothing is scored after the last report, so the bridge stops there.
+    stop = series.T - int(np.argmax(series.r[::-1]))
+    if stop < series.T:
+        series = series.truncated(stop)
     first, states, preds = _bridge(series, beta)
     y, r = series.y[first + 1:].tolist(), series.r[first + 1:].tolist()
     sqerror = 0.0
@@ -160,9 +168,6 @@ def loss(series, beta):
             diff = pred - (yt - prev)
             sqerror = sqerror + diff * diff
             contribno += 1
-    if contribno == 0:
-        raise InsufficientDataError(
-            f"series {series.id!r} has fewer than 2 reports")
     return sqerror / contribno
 
 

@@ -1,8 +1,13 @@
 """Gradient-descent and ADAM fitting of the increment model.
 
-One driver, :func:`_run_batch`, runs the GD/ADAM updates, divergence masking
-and parameter sharing for a whole cohort.  It takes the loss and gradient of
-every hospital from one of two kernels with the same contract:
+There is one cohort fit path: :func:`fit` and :func:`fit_cohort` call
+:func:`gapfit.sharing.fit_shared` with no shared dimension, and
+``fit_shared`` calls the one driver, :func:`_run_batch`.  The driver runs the
+GD/ADAM updates, divergence masking and convergence judgement for a whole
+cohort, and it owns every rule of a shared dimension: a common start, a
+common step size, an average after every step and a convergence test on the
+joint loss.  It takes the loss and gradient of every hospital from one of two
+kernels with the same contract:
 
 * ``batch`` (default): a gap-aware numpy kernel over the cohort.  Once per
   fit, :class:`_Residuals` splits the scored residuals by whether the
@@ -23,7 +28,6 @@ fits.  A row whose loss or gradient turns non-finite gets NaN from either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -90,7 +94,10 @@ class FitResult:
     loss_trace: list
     converged: bool
     steps_used: int
-    fell_back: bool
+
+    @property
+    def fell_back(self):
+        return not self.converged
 
 
 def l2_penalty(beta, lam):
@@ -253,34 +260,36 @@ def _loss_grad_tape(y, z, beta, lam):
     return lossv, grad
 
 
+def _per_row(values, K):
+    return np.array(np.broadcast_to(np.asarray(values, dtype=float), (K, 3)))
+
+
 def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                history=None):
-    """Shared driver for independent and parameter-sharing fits.
+    """The one driver of every cohort fit, with or without shared dimensions.
 
     ``config.engine`` picks the loss-and-gradient kernel.  ``shared_dims``
-    holds 0-based coefficient indices averaged across active hospitals after
-    every step.  ``eta`` and ``init`` may override the config step sizes /
-    initial parameters with per-hospital (K, 3) arrays.
-    ``history``, when a list, receives a copy of the (K, 3) parameters after
-    every step.
+    holds 0-based coefficient indices that start from one common value, step
+    with one common size and are averaged across active hospitals after every
+    step.  ``eta`` and ``init`` may replace the config step sizes / initial
+    parameters with per-hospital (K, 3) arrays.  ``history``, when a list,
+    receives a copy of the (K, 3) parameters after every step.
 
-    Returns (beta (K, 3), trace (S+1, K), active (K,), steps_used (K,)).
+    Returns (beta (K, 3), loss traces (K lists, the NaN steps after a row
+    stopped left out), converged (K bools), steps_used (K,)).
     """
     K = y.shape[0]
     S = config.steps
-    if init is None:
-        beta = np.tile(config.init.as_array(), (K, 1))
-    else:
-        beta = np.array(np.broadcast_to(np.asarray(init, dtype=float), (K, 3)))
-    # A shared dimension must start from a single common value, otherwise the
-    # first post-step average looks like a loss jump against a per-hospital
-    # starting point it could never honor.
+    beta = _per_row(config.init.as_array() if init is None else init, K)
+    eta = _per_row(config.eta if eta is None else eta, K)
     for j in shared_dims:
+        # A shared dimension must start from a single common value, otherwise
+        # the first post-step average looks like a loss jump against a
+        # per-hospital starting point it could never honor.
         beta[:, j] = beta[:, j].mean()
-    if eta is None:
-        eta = np.asarray(config.eta, dtype=float)
-    else:
-        eta = np.asarray(eta, dtype=float)
+        # Stepping it with hospital-specific sizes and then averaging is not a
+        # descent step on the joint objective; take the most conservative one.
+        eta[:, j] = eta[:, j].min()
     adam = config.method == "adam"
     if config.engine == "tape":
         loss_grad = partial(_loss_grad_tape, y, z)
@@ -316,41 +325,41 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                 break
         lossv, _ = loss_grad(beta, config.lam)
         trace[S] = lossv
-    return beta, trace, active, steps_used
+    traces = [col[~np.isnan(col)].tolist() or [float("nan")]
+              for col in trace.T]
+    converged = [not detect_divergence(tr, b) for tr, b in zip(traces, beta)]
+    if shared_dims:
+        # Under a sharing constraint one hospital's own loss may rise while
+        # the joint objective falls, so convergence is judged on the mean
+        # loss over the hospitals that stayed finite.
+        finite = [k for k, tr in enumerate(traces)
+                  if np.isfinite(tr).all() and np.isfinite(beta[k]).all()]
+        if finite:
+            first = float(np.mean([traces[k][0] for k in finite]))
+            last = float(np.mean([traces[k][-1] for k in finite]))
+            for k in finite:
+                converged[k] = last <= first
+    return beta, traces, converged, steps_used
 
 
-def _result_from_batch(beta_row, trace_col, steps_used):
-    tr = [float(x) for x in trace_col if not math.isnan(x)] or [float("nan")]
-    converged = not detect_divergence(tr, beta_row)
-    return FitResult(
-        beta=Beta.from_array(beta_row),
-        loss_trace=tr,
-        converged=converged,
-        steps_used=int(steps_used),
-        fell_back=not converged,
-    )
-
-
-def jacobi_etas(cohort, config, safety=0.2):
+def jacobi_etas(cohort, config):
     """Per-hospital, per-parameter step sizes from the LOCF-imputed design.
 
     Scales each coordinate by the inverse diagonal of H = (2/n) X'X, the
-    Hessian of the fully observed least-squares objective.  ``safety`` trades
-    speed against stability; the bridged loss is sharper than the imputed
-    design suggests, so values much above 0.2 can destabilize heavily gapped
-    series.  Returns a (K, 3) array for :func:`fit_cohort`'s ``eta``.
+    Hessian of the fully observed least-squares objective.
+    ``config.eta_safety`` trades speed against stability; the bridged loss is
+    sharper than the imputed design suggests, so values much above 0.2 can
+    destabilize heavily gapped series.  Returns a (K, 3) array of step sizes.
     """
     from .benchmarks import locf_impute
 
-    if safety <= 0:
-        raise UsageError("safety must be positive")
     etas = np.empty((len(cohort), 3))
     for k, s in enumerate(cohort):
         y = locf_impute(s.y)
         z = s.z * config.incidence_scale
         x = np.column_stack([np.ones(s.T - 1), y[:-1], z[:-1]])
         h = 2.0 * np.einsum("ij,ij->j", x, x) / (s.T - 1)
-        etas[k] = safety / np.maximum(h, 1e-12)
+        etas[k] = config.eta_safety / np.maximum(h, 1e-12)
     return etas
 
 
@@ -358,8 +367,7 @@ def warm_start_inits(cohort, config):
     """Per-hospital starting points from OLS on the LOCF-imputed increments.
 
     Exact for fully observed noiseless series; elsewhere a starting point a
-    few gradient steps from the optimum.  Returns a (K, 3) array for
-    :func:`fit_cohort`'s ``init``.
+    few gradient steps from the optimum.  Returns a (K, 3) array.
     """
     from .benchmarks import fit_linreg_locf
 
@@ -374,33 +382,26 @@ def warm_start_inits(cohort, config):
     return inits
 
 
-def _resolve_overrides(cohort, config, eta, init):
-    if eta is None and config.auto_eta:
-        eta = jacobi_etas(cohort, config, config.eta_safety)
-    if init is None and config.warm_start:
-        init = warm_start_inits(cohort, config)
+def _resolve_overrides(cohort, config):
+    """Per-hospital (eta, init) from ``auto_eta`` and ``warm_start``, else None."""
+    eta = jacobi_etas(cohort, config) if config.auto_eta else None
+    init = warm_start_inits(cohort, config) if config.warm_start else None
     return eta, init
 
 
-def fit_cohort(cohort, config, eta=None, init=None):
-    """Independent batched fits of every series; returns a FitResult per series.
+def fit_cohort(cohort, config):
+    """Independent fits of every series; returns a FitResult per series.
 
     All series must share the same length; series with fewer than 2 reports
     raise :class:`InsufficientDataError` (use the sharing or evaluation layers
     for collect-and-flag behavior).
     """
+    from .sharing import SharingSpec, fit_shared
+
     for s in cohort:
         if s.n_reports < 2:
             raise InsufficientDataError(f"series {s.id!r} has fewer than 2 reports")
-    scaled = [s.with_scaled_z(config.incidence_scale) for s in cohort]
-    eta, init = _resolve_overrides(cohort, config, eta, init)
-    y, r, z = _batch_arrays(scaled)
-    beta, trace, active, steps_used = _run_batch(y, r, z, config, eta=eta,
-                                                 init=init)
-    return [
-        _result_from_batch(beta[k], trace[:, k], steps_used[k])
-        for k in range(len(cohort))
-    ]
+    return fit_shared(cohort, SharingSpec(), config).results
 
 
 def fit(series, config=None):

@@ -5,6 +5,10 @@ takes one gradient step from the current mixed parameter vector, then the
 shared dimensions are replaced by their cross-hospital mean before the next
 step.  Hospitals whose fit fails (too few reports, or divergence mid-run) are
 dropped from subsequent means and flagged rather than aborting the cohort.
+
+:func:`fit_shared` is the one cohort fit path: independent fits
+(:func:`gapfit.optimizer.fit_cohort`) are the case with no shared dimension.
+Every rule of a shared dimension lives in :func:`gapfit.optimizer._run_batch`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import numpy as np
 
 from .errors import UsageError
 from .model import Beta
-from .optimizer import (FitConfig, _batch_arrays, _resolve_overrides,
-                        _result_from_batch, _run_batch)
+from .optimizer import (FitConfig, FitResult, _batch_arrays,
+                        _resolve_overrides, _run_batch)
 
 __all__ = ["SharingSpec", "CohortFit", "fit_shared", "ALL_SHARING_SPECS"]
 
@@ -74,64 +78,33 @@ class CohortFit:
     excluded: list
     history: list | None = None
 
-    @property
-    def betas(self):
-        return [r.beta if r is not None else None for r in self.results]
-
-    @property
-    def converged(self):
-        return [bool(r is not None and r.converged) for r in self.results]
-
 
 def fit_shared(cohort, spec, config=None, record_history=False):
     """Fit a cohort jointly with the given sharing specification.
 
-    With an empty ``shared_dims`` this reduces bit-exactly to independent
-    per-hospital fits under the same config.
+    With an empty ``shared_dims`` these are independent per-hospital fits,
+    which is how :func:`gapfit.optimizer.fit_cohort` runs them.
     """
     if config is None:
         config = FitConfig()
     if len(cohort) < 1:
         raise UsageError("cohort must contain at least one series")
     usable = [k for k, s in enumerate(cohort) if s.n_reports >= 2]
-    excluded = [k for k in range(len(cohort)) if k not in set(usable)]
+    excluded = [k for k, s in enumerate(cohort) if s.n_reports < 2]
     results = [None] * len(cohort)
     history = [] if record_history else None
     if usable:
-        scaled = [cohort[k].with_scaled_z(config.incidence_scale) for k in usable]
-        eta, init = _resolve_overrides([cohort[k] for k in usable], config,
-                                       None, None)
-        if spec.shared_dims and eta is not None:
-            # Stepping a shared dimension with hospital-specific sizes and then
-            # averaging is not a descent step on the joint objective; the step
-            # size must be common there, so take the most conservative one.
-            eta = np.array(np.broadcast_to(np.asarray(eta, dtype=float),
-                                           (len(usable), 3)))
-            for d in spec.shared_dims:
-                eta[:, d - 1] = eta[:, d - 1].min()
-        y, r, z = _batch_arrays(scaled)
+        fitted = [cohort[k] for k in usable]
+        eta, init = _resolve_overrides(fitted, config)
+        y, r, z = _batch_arrays([s.with_scaled_z(config.incidence_scale)
+                                 for s in fitted])
         shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
-        beta, trace, active, steps_used = _run_batch(
+        beta, traces, converged, steps_used = _run_batch(
             y, r, z, config, shared_dims=shared0, eta=eta, init=init,
             history=history)
         for i, k in enumerate(usable):
-            results[k] = _result_from_batch(beta[i], trace[:, i], steps_used[i])
-        if spec.shared_dims:
-            # Under a sharing constraint one hospital's own loss may rise while
-            # the joint objective falls, so convergence is judged on the mean
-            # loss over the hospitals that stayed finite.
-            finite = [k for k in usable
-                      if all(np.isfinite(results[k].loss_trace))
-                      and np.isfinite(results[k].beta.as_array()).all()]
-            if finite:
-                first = float(np.mean([results[k].loss_trace[0]
-                                       for k in finite]))
-                last = float(np.mean([results[k].loss_trace[-1]
-                                      for k in finite]))
-                joint_ok = last <= first
-                for k in finite:
-                    results[k].converged = joint_ok
-                    results[k].fell_back = not joint_ok
+            results[k] = FitResult(Beta.from_array(beta[i]), traces[i],
+                                   converged[i], int(steps_used[i]))
     full_history = None
     if history is not None:
         full_history = []

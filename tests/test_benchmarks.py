@@ -46,6 +46,14 @@ def test_locf_idempotent(values):
     y = np.array([np.nan if v is None else v for v in values])
     once = locf_impute(y)
     np.testing.assert_array_equal(locf_impute(once), once)
+    # reference: walk the days, carrying the latest report (the first one
+    # before it); the vectorized gather must copy exactly these values
+    last = y[np.isfinite(y)][0]
+    expected = []
+    for v in y:
+        last = v if np.isfinite(v) else last
+        expected.append(last)
+    assert once.tobytes() == np.array(expected).tobytes()
 
 
 # -- zero / mean / modified mean --------------------------------------------

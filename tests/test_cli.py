@@ -47,10 +47,32 @@ def test_simulate_same_seed_identical_files(tmp_path):
     assert _read(a / "truth.csv") == _read(b / "truth.csv")
 
 
-def test_simulate_bad_probability_exits_2(tmp_path):
-    rc = _run("simulate", "--output-dir", str(tmp_path / "x"),
-              "--mcar-rate", "1.7")
-    assert rc == 2
+@pytest.mark.parametrize("args", [
+    "simulate --mcar-rate 1.7",
+    "simulate --incidence-scale nan",
+    "simulate --noise nan",
+    "fit --incidence-scale nan",
+    "fit --incidence-scale inf",
+    "fit --lambda nan",
+    "fit --lambda inf",
+    "fit --eta 1e-3,1e-3,inf",
+    "fit --auto-eta --eta-safety nan",
+    "censor --rates 0.25,nan",
+    "predict --incidence-scale nan",
+], ids=lambda args: args.replace(" --", "-").replace(" ", "-"))
+def test_bad_numeric_flag_exits_2(tmp_path, args):
+    command, *flags = args.split()
+    argv = [command, "--output-dir", str(tmp_path / "out"), *flags]
+    if command != "simulate":
+        sim = _simulate(tmp_path)
+        argv += ["--input", str(sim / "cohort.csv")]
+    if command == "predict":
+        params = tmp_path / "params.csv"
+        _write(params, ["hospital_id", "b1", "b2", "b3"],
+               [["h0", "0.1", "0.0", "0.0"]])
+        argv += ["--params", str(params)]
+    assert _run(*argv) == 2
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_fit_and_share_all_equalizes_parameters(tmp_path):

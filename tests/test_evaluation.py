@@ -121,6 +121,10 @@ def test_window_edge_cases():
         sliding_windows(10, 35)
     with pytest.raises(UsageError):
         sliding_windows(10, 0)
+    # two fitting days plus the scored day is the shortest window
+    with pytest.raises(UsageError):
+        sliding_windows(10, 2)
+    assert len(sliding_windows(10, 3)) == 8
 
 
 def test_sensitivity_report_structure():
@@ -164,8 +168,7 @@ def test_noiseless_cohort_recovered_exactly_by_increment_model():
     config = FitConfig(steps=4000, auto_eta=True, eta_safety=0.1,
                        warm_start=True)
     report = censor_and_recover(cohort, CensorSpec(rate=0.25, repetitions=2,
-                                                   seed=4),
-                                config, models=("increment",))
+                                                   seed=4), config)
     assert report.summary["increment"]["median"] < 1e-6
 
 

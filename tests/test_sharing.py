@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gapfit.errors import UsageError
-from gapfit.optimizer import FitConfig, fit
+from gapfit.optimizer import (FitConfig, _batch_arrays, _loss_grad_batch,
+                              _Residuals, fit, jacobi_etas)
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
 from conftest import make_series, random_gapped_series
@@ -112,6 +113,22 @@ def test_shared_convergence_judged_on_joint_loss():
     for spec in ALL_SHARING_SPECS:
         joint = fit_shared(cohort, spec, config)
         assert all(r.converged for r in joint.results), spec.label
+
+
+def test_shared_dimension_steps_with_the_smallest_step_size():
+    # One GD step from the common start 0: the shared b2 of every hospital
+    # becomes the mean of -eta_min * gradient, not of -eta_k * gradient.
+    cohort = _cohort(7, n=4)
+    config = FitConfig(steps=1, auto_eta=True)
+    joint = fit_shared(cohort, SharingSpec(frozenset({2})), config,
+                       record_history=True)
+    etas = jacobi_etas(cohort, config)
+    assert np.ptp(etas[:, 1]) > 0
+    y, r, z = _batch_arrays([s.with_scaled_z(config.incidence_scale)
+                             for s in cohort])
+    _, grad = _loss_grad_batch(_Residuals(y, r, z), np.zeros((4, 3)), 0.0)
+    expected = np.mean(-etas[:, 1].min() * grad[:, 1])
+    assert joint.history[0][:, 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_empty_cohort_rejected():
