@@ -48,6 +48,13 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _artifact(outdir, name):
+    """Path of one output file.  The directory is made at the first write, so
+    a command rejected before it leaves no directory behind."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -69,7 +76,7 @@ def _write_manifest(outdir, command, args, artifacts):
         "args": args,
         "artifacts": sorted(artifacts),
     }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_json(_artifact(outdir, "manifest.json"), manifest)
 
 
 def _require_finite(name, values):
@@ -148,7 +155,6 @@ def _load(args):
 
 def cmd_simulate(args):
     outdir = args["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     missing = MissingnessSpec(mcar_rate=args["mcar_rate"],
                               gap_start_prob=args["gap_start_prob"],
                               mean_gap_length=args["mean_gap_length"])
@@ -158,8 +164,8 @@ def cmd_simulate(args):
                    noise_scale=args["noise"], missingness=missing,
                    incidence_scale=args["incidence_scale"], seed=args["seed"])
     cohort, truth = simulate_cohort(spec)
-    cohort_path = os.path.join(outdir, "cohort.csv")
-    truth_path = os.path.join(outdir, "truth.csv")
+    cohort_path = _artifact(outdir, "cohort.csv")
+    truth_path = _artifact(outdir, "truth.csv")
     save_cohort(cohort, cohort_path, truth=truth, truth_path=truth_path)
     _write_manifest(outdir, "simulate", args, ["cohort.csv", "truth.csv"])
     return 0
@@ -168,7 +174,6 @@ def cmd_simulate(args):
 def cmd_fit(args):
     cohort, _ = _load(args)
     outdir = args["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     config = _fit_config(args)
     spec = SharingSpec.parse(args["share"])
     cohort_fit = fit_shared(cohort, spec, config)
@@ -191,10 +196,10 @@ def cmd_fit(args):
         ])
         for step, value in enumerate(res.loss_trace):
             trace_rows.append([s.id, step, _fmt(value)])
-    _write_csv(os.path.join(outdir, "params.csv"),
+    _write_csv(_artifact(outdir, "params.csv"),
                ["hospital_id", "b1", "b2", "b3", "converged", "fell_back",
                 "steps_used", "final_loss"], param_rows)
-    _write_csv(os.path.join(outdir, "traces.csv"),
+    _write_csv(_artifact(outdir, "traces.csv"),
                ["hospital_id", "step", "loss"], trace_rows)
     _write_manifest(outdir, "fit", args, ["params.csv", "traces.csv"])
     return 0
@@ -212,20 +217,19 @@ def _benchmark_reports(cohort, config, share_spec):
 def cmd_benchmark(args):
     cohort, _ = _load(args)
     outdir = args["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     config = _fit_config(args)
     reports = _benchmark_reports(cohort, config, SharingSpec.parse(args["share"]))
     rows = [[r.model, _fmt(r.summary["sum"]), _fmt(r.summary["mean"]),
              _fmt(r.summary["q1"]), _fmt(r.summary["median"]),
              _fmt(r.summary["q3"]), r.fallback_count] for r in reports]
-    _write_csv(os.path.join(outdir, "table1.csv"),
+    _write_csv(_artifact(outdir, "table1.csv"),
                ["model", "sum", "mean", "q1", "median", "q3", "fallback_count"],
                rows)
     payload = {r.model: {"summary": r.summary,
                          "fallback_count": r.fallback_count,
                          "errors": {k: r.errors[k] for k in sorted(r.errors)}}
                for r in reports}
-    _write_json(os.path.join(outdir, "report.json"), payload)
+    _write_json(_artifact(outdir, "report.json"), payload)
     _write_manifest(outdir, "benchmark", args, ["table1.csv", "report.json"])
     return 0
 
@@ -233,16 +237,15 @@ def cmd_benchmark(args):
 def cmd_sensitivity(args):
     cohort, _ = _load(args)
     outdir = args["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     config = _fit_config(args)
     report = sensitivity_run(cohort, ALL_SHARING_SPECS, config,
                              baseline=BenchmarkKind(args["baseline"]),
                              window_length=args["window_len"])
-    _write_csv(os.path.join(outdir, "table2.csv"),
+    _write_csv(_artifact(outdir, "table2.csv"),
                ["combination", "q1", "median", "q3"],
                [[row.label, _fmt(row.q1), _fmt(row.median), _fmt(row.q3)]
                 for row in report.rows])
-    _write_csv(os.path.join(outdir, "windows.csv"),
+    _write_csv(_artifact(outdir, "windows.csv"),
                ["window_start", "window_end",
                 *[row.label for row in report.rows]],
                [[w.start, w.end,
@@ -257,7 +260,7 @@ def cmd_sensitivity(args):
                  for row in report.rows},
         "flags": report.flags,
     }
-    _write_json(os.path.join(outdir, "report.json"), payload)
+    _write_json(_artifact(outdir, "report.json"), payload)
     _write_manifest(outdir, "sensitivity", args,
                     ["table2.csv", "windows.csv", "report.json"])
     return 0
@@ -266,7 +269,6 @@ def cmd_sensitivity(args):
 def cmd_censor(args):
     cohort, _ = _load(args)
     outdir = args["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     config = _fit_config(args)
     rates = _parse_floats(args["rates"])
     if not rates:
@@ -280,9 +282,9 @@ def cmd_censor(args):
             s = rep.summary[m]
             rows.append([_fmt(rep.rate), m, _fmt(s["mean"]), _fmt(s["q1"]),
                          _fmt(s["median"]), _fmt(s["q3"])])
-    _write_csv(os.path.join(outdir, "recovery.csv"),
+    _write_csv(_artifact(outdir, "recovery.csv"),
                ["rate", "model", "mean", "q1", "median", "q3"], rows)
-    _write_json(os.path.join(outdir, "report.json"), payload)
+    _write_json(_artifact(outdir, "report.json"), payload)
     _write_manifest(outdir, "censor", args, ["recovery.csv", "report.json"])
     return 0
 
@@ -311,8 +313,7 @@ def cmd_gradcheck(args):
     print(f"gradcheck: {args['trials']} trials, max discrepancy {worst:.3e}, "
           f"{failures} failures")
     if args.get("output_dir"):
-        os.makedirs(args["output_dir"], exist_ok=True)
-        _write_json(os.path.join(args["output_dir"], "gradcheck.json"),
+        _write_json(_artifact(args["output_dir"], "gradcheck.json"),
                     {"trials": args["trials"], "max_discrepancy": worst,
                      "failures": failures})
         _write_manifest(args["output_dir"], "gradcheck", args,
@@ -359,7 +360,6 @@ def _load_future_z(path, incidence_column):
 def cmd_predict(args):
     cohort, _ = _load(args)
     outdir = args["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     betas = _load_params(args["params"])
     horizon = args["horizon"]
     if horizon < 0:
@@ -398,7 +398,7 @@ def cmd_predict(args):
             rows.append([s.id, t + 1,
                          _fmt(s.y[t]) if s.r[t] else "",
                          _fmt(traj.y_tilde[t]), _fmt(traj.dy_hat[t]), kind])
-    _write_csv(os.path.join(outdir, "trajectory.csv"),
+    _write_csv(_artifact(outdir, "trajectory.csv"),
                ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
                rows)
     _write_manifest(outdir, "predict", args, ["trajectory.csv"])

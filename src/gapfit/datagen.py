@@ -128,6 +128,15 @@ def missingness_mask(T, spec, seed):
     raise UsageError("missingness spec makes 2 reports unreachable")
 
 
+# Ranges of simulate_cohort's per-hospital draws besides b1.
+B2_RANGE = (-0.12, -0.02)
+B3_RANGE = (0.02, 0.12)
+Y0_RANGE = (2.0, 40.0)
+COUNTY_SCALE_RANGE = (0.5, 1.5)
+# Day-to-day reporting variability of county incidence (relative, uniform).
+Z_JITTER = 0.3
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Everything needed to generate one reproducible cohort."""
@@ -135,15 +144,8 @@ class SimSpec:
     n_hospitals: int = 100
     n_days: int = 70
     b1_range: tuple = (-0.3, 0.5)
-    b2_range: tuple = (-0.12, -0.02)
-    b3_range: tuple = (0.02, 0.12)
-    y0_range: tuple = (2.0, 40.0)
     noise_scale: float = 0.0
     missingness: MissingnessSpec = field(default_factory=MissingnessSpec)
-    seir: SeirParams = field(default_factory=SeirParams)
-    county_scale_range: tuple = (0.5, 1.5)
-    # Day-to-day reporting variability of county incidence (relative, uniform).
-    z_jitter: float = 0.3
     incidence_scale: float = 0.01
     seed: int = 0
 
@@ -155,7 +157,6 @@ class SimSpec:
         if self.incidence_scale <= 0:
             raise UsageError("incidence scale must be positive")
         self.missingness.validate()
-        self.seir.validate()
 
 
 @dataclass
@@ -170,14 +171,15 @@ class CohortTruth:
 def simulate_cohort(spec):
     """Generate an observed cohort plus its hidden ground truth.
 
-    Per hospital: coefficients are drawn from the configured ranges, the
-    trajectory evolves by the increment dynamics applied to the scaled
-    incidence (with optional Gaussian noise on the increments, clamped at
-    zero), and a missingness mask hides reports.  Deterministic given the seed.
+    Per hospital: coefficients are drawn from ``spec.b1_range`` and the fixed
+    ranges above, the trajectory evolves by the increment dynamics applied to
+    the scaled incidence (with optional Gaussian noise on the increments,
+    clamped at zero), and a missingness mask hides reports.  Deterministic
+    given the seed.
     """
     spec.validate()
     root = np.random.SeedSequence(spec.seed)
-    incidence = simulate_seir(spec.seir, spec.n_days)
+    incidence = simulate_seir(SeirParams(), spec.n_days)
     hospital_seeds = root.spawn(spec.n_hospitals)
     cohort = []
     betas = []
@@ -187,16 +189,14 @@ def simulate_cohort(spec):
         child = hospital_seeds[k].spawn(2)
         rng = np.random.Generator(np.random.PCG64(child[0]))
         beta = Beta(b1=rng.uniform(*spec.b1_range),
-                    b2=rng.uniform(*spec.b2_range),
-                    b3=rng.uniform(*spec.b3_range))
-        county_scale = rng.uniform(*spec.county_scale_range)
-        z = incidence * county_scale
-        if spec.z_jitter > 0:
-            z = z * rng.uniform(1.0 - spec.z_jitter, 1.0 + spec.z_jitter,
-                                size=spec.n_days)
+                    b2=rng.uniform(*B2_RANGE),
+                    b3=rng.uniform(*B3_RANGE))
+        county_scale = rng.uniform(*COUNTY_SCALE_RANGE)
+        z = incidence * county_scale * rng.uniform(
+            1.0 - Z_JITTER, 1.0 + Z_JITTER, size=spec.n_days)
         z_eff = z * spec.incidence_scale
         y = np.empty(spec.n_days)
-        y[0] = rng.uniform(*spec.y0_range)
+        y[0] = rng.uniform(*Y0_RANGE)
         for t in range(1, spec.n_days):
             inc = beta.b1 + beta.b2 * y[t - 1] + beta.b3 * z_eff[t - 1]
             if spec.noise_scale > 0:

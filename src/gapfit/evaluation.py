@@ -5,6 +5,12 @@ The central scoring rule sums, over hospitals that reported on the final day,
 the squared difference between a model's predicted increment into day T and
 the realized increment relative to the model's own state at day T-1.  Models
 that fail to fit a hospital are replaced by a fallback predictor and counted.
+
+Censor-and-recover rebuilds every censored trajectory with each model.  Zero,
+mean and LOCF regression are increment models with fixed coefficients, so
+they bridge the gaps through :func:`gapfit.model.predict_trajectory`, the
+increment model's own recursion; only modified mean, whose rule reads the
+previous rebuilt increment, walks its own loop.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                          predict_mean, predict_modified_mean)
 from .errors import InsufficientDataError, UsageError
-from .model import predict_trajectory
+from .model import Beta, predict_trajectory
 from .optimizer import FitConfig
 from .sharing import SharingSpec, fit_shared
 
@@ -75,7 +81,7 @@ class BenchmarkPredictor:
             return LastPointPrediction(predict_mean(series), prev)
         if self.kind is BenchmarkKind.MODIFIED_MEAN:
             return LastPointPrediction(predict_modified_mean(series), prev)
-        fitres = fit_linreg_locf(series.truncated(series.T - 1))
+        fitres = fit_linreg_locf(series.window(1, series.T - 1))
         inc = fitres.predict_increment(prev, float(series.z[series.T - 2]))
         return LastPointPrediction(inc, prev)
 
@@ -105,7 +111,7 @@ class IncrementPredictor:
     def predict_cohort(self, cohort):
         scale = self.config.incidence_scale
         usable = [k for k, s in enumerate(cohort) if s.r[:-1].sum() >= 2]
-        heads = [cohort[k].truncated(cohort[k].T - 1) for k in usable]
+        heads = [cohort[k].window(1, cohort[k].T - 1) for k in usable]
         out = [LastPointPrediction(ok=False) for _ in cohort]
         if not heads:
             return out
@@ -217,7 +223,7 @@ def sensitivity_run(cohort, sharing_specs, config=None,
         for s in cohort:
             try:
                 wcohort.append(s.window(w.start, w.end))
-            except ValueError:
+            except InsufficientDataError:
                 flags.append(f"window {w.start}: {s.id} has no reports, dropped")
         if not wcohort:
             flags.append(f"window {w.start}: empty, skipped")
@@ -273,34 +279,28 @@ class CensorReport:
     flags: list = field(default_factory=list)
 
 
-_RECOVER_MODELS = ("increment", "zero", "mean", "modified_mean", "linreg_locf")
-
-
 def _reconstruct_benchmark(kind, series):
-    """Trajectory reconstruction by walking the model's own increment rule."""
-    y, r, z = series.y, series.r, series.z
-    T = len(y)
-    recon = np.empty(T)
-    recon[0] = y[0]
-    mean_inc = 0.0
-    if kind in ("mean", "modified_mean"):
+    """Trajectory rebuilt by one benchmark model, as a float array.
+
+    Zero, mean and LOCF regression are increment models with fixed
+    coefficients, so the model's own bridge carries them through the gaps.
+    Modified mean predicts zero after a zero increment, which reads the
+    previous rebuilt increment, so it walks its own rule day by day.
+    """
+    if kind is BenchmarkKind.MODIFIED_MEAN:
         mean_inc = predict_mean(series)
-    lr = fit_linreg_locf(series) if kind == "linreg_locf" else None
-    for t in range(1, T):
-        if r[t]:
-            recon[t] = y[t]
-            continue
-        if kind == "zero":
-            inc = 0.0
-        elif kind == "mean":
-            inc = mean_inc
-        elif kind == "modified_mean":
+        recon = series.y.copy()
+        for t in np.flatnonzero(~series.r[1:]) + 1:
             prev_inc = recon[t - 1] - recon[t - 2] if t >= 2 else mean_inc
-            inc = 0.0 if prev_inc == 0.0 else mean_inc
-        else:
-            inc = lr.predict_increment(recon[t - 1], z[t - 1])
-        recon[t] = recon[t - 1] + inc
-    return recon
+            recon[t] = recon[t - 1] + (0.0 if prev_inc == 0.0 else mean_inc)
+        return recon
+    if kind is BenchmarkKind.ZERO:
+        beta = Beta()
+    elif kind is BenchmarkKind.MEAN:
+        beta = Beta(predict_mean(series))
+    else:
+        beta = fit_linreg_locf(series).beta
+    return np.asarray(predict_trajectory(series, beta).y_tilde, dtype=float)
 
 
 def censor_and_recover(cohort, spec, config=None):
@@ -326,7 +326,8 @@ def censor_and_recover(cohort, spec, config=None):
         raise UsageError(
             f"rate {spec.rate} would leave fewer than 2 reports on T={T}")
     K = len(cohort)
-    acc = {m: np.zeros(K) for m in _RECOVER_MODELS}
+    models = ["increment"] + [kind.value for kind in BenchmarkKind]
+    sq_err = np.zeros((len(models), K))
     flags = []
     for rep in range(spec.repetitions):
         rng = np.random.Generator(np.random.PCG64(
@@ -339,22 +340,19 @@ def censor_and_recover(cohort, spec, config=None):
             censored.append(type(s)(s.id, y, s.z))
         inc_fit = fit_shared(censored, SharingSpec(), config)
         for k, s in enumerate(cohort):
-            truth = s.y
-            for m in _RECOVER_MODELS:
-                if m == "increment":
-                    res = inc_fit.results[k]
-                    if res is not None and res.converged:
-                        scaled = censored[k].with_scaled_z(config.incidence_scale)
-                        traj = predict_trajectory(scaled, res.beta)
-                        recon = np.asarray(traj.y_tilde, dtype=float)
-                    else:
-                        flags.append(f"{s.id} rep {rep}: increment fit fell back")
-                        recon = _reconstruct_benchmark("mean", censored[k])
-                else:
-                    recon = _reconstruct_benchmark(m, censored[k])
-                acc[m][k] += float(np.mean((recon - truth) ** 2))
-    per_hospital = {m: acc[m] / spec.repetitions for m in _RECOVER_MODELS}
-    summary = {m: _summarize(per_hospital[m]) for m in _RECOVER_MODELS}
+            res = inc_fit.results[k]
+            if res is not None and res.converged:
+                scaled = censored[k].with_scaled_z(config.incidence_scale)
+                recons = [np.asarray(predict_trajectory(scaled, res.beta).y_tilde,
+                                     dtype=float)]
+            else:
+                flags.append(f"{s.id} rep {rep}: increment fit fell back")
+                recons = [_reconstruct_benchmark(BenchmarkKind.MEAN, censored[k])]
+            recons += [_reconstruct_benchmark(kind, censored[k])
+                       for kind in BenchmarkKind]
+            sq_err[:, k] += [np.mean((recon - s.y) ** 2) for recon in recons]
+    per_hospital = dict(zip(models, sq_err / spec.repetitions))
+    summary = {m: _summarize(per_hospital[m]) for m in models}
     return CensorReport(rate=spec.rate, repetitions=spec.repetitions,
                         seed=spec.seed, per_hospital=per_hospital,
                         summary=summary, flags=flags)

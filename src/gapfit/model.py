@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, UsageError
 
 __all__ = ["HospitalSeries", "Beta", "Trajectory", "loss", "predict_trajectory",
            "expand_gap", "predict_last_increment"]
@@ -48,7 +48,9 @@ class HospitalSeries:
 
     ``y`` holds the prevalent ICU cases with NaN for days without a report,
     ``z`` the (complete) daily incidence covariate, and ``r`` is derived as
-    r[t] = 1 iff y[t] is present.
+    r[t] = 1 iff y[t] is present.  Fewer than 2 days or no report at all
+    raise :class:`InsufficientDataError`; mismatched shapes, a non-finite or
+    negative ``z`` and a negative report raise :class:`UsageError`.
     """
 
     __slots__ = ("id", "y", "z", "r")
@@ -57,18 +59,18 @@ class HospitalSeries:
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if y.ndim != 1 or z.ndim != 1 or len(y) != len(z):
-            raise ValueError("y and z must be 1-d sequences of equal length")
+            raise UsageError("y and z must be 1-d sequences of equal length")
         if len(y) < 2:
-            raise ValueError("a series needs at least 2 days")
+            raise InsufficientDataError("a series needs at least 2 days")
         if not np.all(np.isfinite(z)):
-            raise ValueError("incidence covariate must be complete and finite")
+            raise UsageError("incidence covariate must be complete and finite")
         if np.any(z < 0):
-            raise ValueError("incidence must be nonnegative")
+            raise UsageError("incidence must be nonnegative")
         observed = np.isfinite(y)
         if np.any(y[observed] < 0):
-            raise ValueError("reported case counts must be nonnegative")
+            raise UsageError("reported case counts must be nonnegative")
         if not observed.any():
-            raise ValueError("a series needs at least one report")
+            raise InsufficientDataError("a series needs at least one report")
         self.id = str(id)
         self.y = y
         self.z = z
@@ -81,10 +83,6 @@ class HospitalSeries:
     @property
     def n_reports(self):
         return int(self.r.sum())
-
-    def truncated(self, stop):
-        """Copy restricted to days 1..stop (1-based, inclusive)."""
-        return HospitalSeries(self.id, self.y[:stop].copy(), self.z[:stop].copy())
 
     def window(self, start, stop):
         """Copy restricted to days start..stop (1-based, inclusive)."""
@@ -158,7 +156,7 @@ def loss(series, beta):
     # Nothing is scored after the last report, so the bridge stops there.
     stop = series.T - int(np.argmax(series.r[::-1]))
     if stop < series.T:
-        series = series.truncated(stop)
+        series = series.window(1, stop)
     first, states, preds = _bridge(series, beta)
     y, r = series.y[first + 1:].tolist(), series.r[first + 1:].tolist()
     sqerror = 0.0

@@ -41,6 +41,12 @@ __all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "l2_penalty",
            "detect_divergence", "jacobi_etas", "warm_start_inits"]
 
 
+# ADAM's moment decay rates and denominator guard, at their usual values.
+ADAM_DECAY1 = 0.9
+ADAM_DECAY2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters for one fit.
@@ -61,9 +67,6 @@ class FitConfig:
     lam: float = 0.0
     init: Beta = field(default_factory=Beta)
     method: str = "gd"
-    adam_decay1: float = 0.9
-    adam_decay2: float = 0.999
-    adam_eps: float = 1e-8
     incidence_scale: float = 0.01
     engine: str = "batch"
     auto_eta: bool = False
@@ -305,11 +308,11 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
             lossv, grad = loss_grad(beta, config.lam)
             trace[s] = lossv
             if adam:
-                m = config.adam_decay1 * m + (1.0 - config.adam_decay1) * grad
-                v = config.adam_decay2 * v + (1.0 - config.adam_decay2) * grad * grad
-                mh = m / (1.0 - config.adam_decay1 ** (s + 1))
-                vh = v / (1.0 - config.adam_decay2 ** (s + 1))
-                update = eta * mh / (np.sqrt(vh) + config.adam_eps)
+                m = ADAM_DECAY1 * m + (1.0 - ADAM_DECAY1) * grad
+                v = ADAM_DECAY2 * v + (1.0 - ADAM_DECAY2) * grad * grad
+                mh = m / (1.0 - ADAM_DECAY1 ** (s + 1))
+                vh = v / (1.0 - ADAM_DECAY2 ** (s + 1))
+                update = eta * mh / (np.sqrt(vh) + ADAM_EPS)
             else:
                 update = eta * grad
             beta = np.where(active[:, None], beta - update, beta)

@@ -75,7 +75,6 @@ class CohortFit:
     """
 
     results: list
-    excluded: list
     history: list | None = None
 
 
@@ -90,7 +89,6 @@ def fit_shared(cohort, spec, config=None, record_history=False):
     if len(cohort) < 1:
         raise UsageError("cohort must contain at least one series")
     usable = [k for k, s in enumerate(cohort) if s.n_reports >= 2]
-    excluded = [k for k, s in enumerate(cohort) if s.n_reports < 2]
     results = [None] * len(cohort)
     history = [] if record_history else None
     if usable:
@@ -112,4 +110,4 @@ def fit_shared(cohort, spec, config=None, record_history=False):
             mat = np.full((len(cohort), 3), np.nan)
             mat[usable] = h
             full_history.append(mat)
-    return CohortFit(results=results, excluded=excluded, history=full_history)
+    return CohortFit(results=results, history=full_history)

@@ -59,6 +59,7 @@ def test_simulate_same_seed_identical_files(tmp_path):
     "fit --auto-eta --eta-safety nan",
     "censor --rates 0.25,nan",
     "predict --incidence-scale nan",
+    "fit --steps 0",
 ], ids=lambda args: args.replace(" --", "-").replace(" ", "-"))
 def test_bad_numeric_flag_exits_2(tmp_path, args):
     command, *flags = args.split()
@@ -72,7 +73,7 @@ def test_bad_numeric_flag_exits_2(tmp_path, args):
                [["h0", "0.1", "0.0", "0.0"]])
         argv += ["--params", str(params)]
     assert _run(*argv) == 2
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_and_share_all_equalizes_parameters(tmp_path):
@@ -270,6 +271,23 @@ def test_bad_input_cell_exits_1_with_line(tmp_path, capsys, target, index,
               "--future-z", str(tmp_path / "future.csv"))
     assert rc == 1
     assert f"{target}.csv:{index + 2}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_on_two_day_series_flags_models_needing_more_days(tmp_path):
+    cohort = tmp_path / "cohort.csv"
+    _write(cohort, ["hospital_id", "day", "cases", "incidence"],
+           [["a", 1, 2.0, 1.0], ["a", 2, 3.0, 1.5],
+            ["b", 1, 5.0, 2.0], ["b", 2, 4.0, 0.5]])
+    outdir = tmp_path / "bench"
+    assert _run("benchmark", "--input", str(cohort),
+                "--output-dir", str(outdir), "--steps", "20") == 0
+    report = json.loads((outdir / "report.json").read_text())
+    # only the zero model predicts from a single day; the others need more
+    assert set(report["zero"]["errors"]) == {"a", "b"}
+    for model in ("mean", "modified_mean", "linreg_locf",
+                  "increment[individual]"):
+        assert report[model]["errors"] == {}
 
 
 def test_rerun_accepts_manifest_with_threads(tmp_path):

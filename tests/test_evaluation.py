@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gapfit.benchmarks import BenchmarkKind
+from gapfit.benchmarks import BenchmarkKind, fit_linreg_locf, predict_mean
 from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.errors import UsageError
 from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
-                               IncrementPredictor, censor_and_recover,
+                               IncrementPredictor, _reconstruct_benchmark,
+                               censor_and_recover,
                                last_point_error, sensitivity_run,
                                sliding_windows)
 from gapfit.model import Beta, predict_last_increment
@@ -170,6 +171,47 @@ def test_noiseless_cohort_recovered_exactly_by_increment_model():
     report = censor_and_recover(cohort, CensorSpec(rate=0.25, repetitions=2,
                                                    seed=4), config)
     assert report.summary["increment"]["median"] < 1e-6
+
+
+def _reference_rebuild(kind, series):
+    """An unreported day is the rebuilt day before plus the model's increment."""
+    y, r, z = series.y, series.r, series.z
+    mean = predict_mean(series)
+    lr = fit_linreg_locf(series).beta
+    recon = y.copy()
+    for t in range(1, len(y)):
+        if r[t]:
+            continue
+        if kind is BenchmarkKind.ZERO:
+            inc = 0.0
+        elif kind is BenchmarkKind.MEAN:
+            inc = mean
+        elif kind is BenchmarkKind.MODIFIED_MEAN:
+            prev_inc = recon[t - 1] - recon[t - 2] if t >= 2 else mean
+            inc = 0.0 if prev_inc == 0.0 else mean
+        else:
+            inc = lr.b1 + lr.b2 * recon[t - 1] + lr.b3 * z[t - 1]
+        recon[t] = recon[t - 1] + inc
+    return recon
+
+
+@pytest.mark.parametrize("kind", list(BenchmarkKind))
+def test_benchmark_rebuild_matches_reference_loop(kind):
+    # Day 1 is censored, days 4-5 follow a zero increment (6 -> 6), days 8-9
+    # a non-zero one (9 -> 12); the second series ends in a gap.
+    cohort = [
+        make_series([4, None, 6, 6, None, None, 9, 12, None, None, 14, 15],
+                    z=[1, 2, 0.5, 3, 1, 2, 4, 1, 0.5, 2, 3, 1]),
+        make_series([3, 5, None, 8, None, None], z=[2, 1, 3, 2, 1, 4]),
+    ]
+    for s in cohort:
+        recon = _reconstruct_benchmark(kind, s)
+        np.testing.assert_array_equal(recon, _reference_rebuild(kind, s))
+        assert np.array_equal(recon[s.r], s.y[s.r])
+    if kind is BenchmarkKind.MODIFIED_MEAN:
+        recon = _reconstruct_benchmark(kind, cohort[0])
+        assert predict_mean(cohort[0]) == 1.0
+        assert list(recon[[1, 4, 5, 8, 9]]) == [5.0, 6.0, 6.0, 13.0, 14.0]
 
 
 def test_censor_reports_reproducible():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapfit.benchmarks import fit_linreg_locf
-from gapfit.errors import InsufficientDataError
+from gapfit.errors import GapfitError, InsufficientDataError, UsageError
 from gapfit.model import (Beta, HospitalSeries, expand_gap, loss,
                           predict_last_increment, predict_trajectory)
 
@@ -13,18 +13,18 @@ from conftest import make_series, random_gapped_series
 # -- HospitalSeries invariants ----------------------------------------------
 
 def test_series_validation():
-    with pytest.raises(ValueError):
-        HospitalSeries("a", [1.0], [1.0])  # T < 2
-    with pytest.raises(ValueError):
-        HospitalSeries("a", [1.0, 2.0], [1.0])  # length mismatch
-    with pytest.raises(ValueError):
-        HospitalSeries("a", [1.0, 2.0], [1.0, np.nan])  # z must be complete
-    with pytest.raises(ValueError):
-        HospitalSeries("a", [1.0, 2.0], [1.0, -2.0])  # z nonnegative
-    with pytest.raises(ValueError):
-        HospitalSeries("a", [-1.0, 2.0], [1.0, 1.0])  # y nonnegative
-    with pytest.raises(ValueError):
-        HospitalSeries("a", [np.nan, np.nan], [1.0, 1.0])  # no report at all
+    cases = [
+        (InsufficientDataError, [1.0], [1.0]),  # T < 2
+        (UsageError, [1.0, 2.0], [1.0]),  # length mismatch
+        (UsageError, [1.0, 2.0], [1.0, np.nan]),  # z must be complete
+        (UsageError, [1.0, 2.0], [1.0, -2.0]),  # z nonnegative
+        (UsageError, [-1.0, 2.0], [1.0, 1.0]),  # y nonnegative
+        (InsufficientDataError, [np.nan, np.nan], [1.0, 1.0]),  # no report
+    ]
+    for error, y, z in cases:
+        with pytest.raises(GapfitError) as info:
+            HospitalSeries("a", y, z)
+        assert type(info.value) is error
 
 
 def test_series_mask_derived_from_nan():
@@ -34,12 +34,12 @@ def test_series_mask_derived_from_nan():
     assert s.n_reports == 2
 
 
-def test_window_and_truncated_are_copies():
+def test_window_is_a_copy():
     s = make_series([2, 3, 4, 5], z=[1, 2, 3, 4])
     w = s.window(2, 4)
     assert list(w.y) == [3, 4, 5]
     assert list(w.z) == [2, 3, 4]
-    t = s.truncated(2)
+    t = s.window(1, 2)
     assert list(t.y) == [2, 3]
     s.y[0] = 9.0
     assert t.y[0] == 2.0
@@ -197,11 +197,11 @@ def test_predict_last_increment_consistent_with_trajectory():
     rng = np.random.Generator(np.random.PCG64(21))
     for _ in range(20):
         s = random_gapped_series(rng, T=12)
-        if s.truncated(s.T - 1).n_reports < 2:
+        if s.window(1, s.T - 1).n_reports < 2:
             continue
         beta = Beta(*rng.uniform(-0.3, 0.3, 3))
         inc = predict_last_increment(s, beta)
-        traj = predict_trajectory(s.truncated(s.T - 1), beta)
+        traj = predict_trajectory(s.window(1, s.T - 1), beta)
         prev = traj.y_tilde[-1]
         assert inc == pytest.approx(
             beta.b1 + beta.b2 * prev + beta.b3 * s.z[s.T - 2], rel=1e-12)

@@ -86,7 +86,6 @@ def test_permutation_invariance():
 def test_underreported_hospitals_excluded_not_fatal():
     cohort = _cohort(4, n=3) + [make_series([None, 5, None, None], id="bad")]
     joint = fit_shared(cohort, SharingSpec(frozenset({1})), FitConfig(steps=40))
-    assert joint.excluded == [3]
     assert joint.results[3] is None
     assert all(r is not None for r in joint.results[:3])
 
