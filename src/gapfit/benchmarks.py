@@ -3,6 +3,9 @@ regression on last-observation-carried-forward imputed data.
 
 All of them work on the LOCF-imputed series; leading missing entries are
 backfilled from the first report so the imputed series keeps full length.
+The per-series functions are one-row views of row-wise array forms over a
+(K, T) cohort, which the evaluation protocols and the optimizer's warm start
+call once per cohort; only the regression still solves one ``lstsq`` per row.
 """
 
 from __future__ import annotations
@@ -30,18 +33,21 @@ def locf_impute(y, r=None):
     """Replace missing entries by the most recent report.
 
     ``y`` may use NaN for missing values, or an explicit mask ``r`` may be
-    given.  Leading missings are backfilled from the first report.  Idempotent.
+    given.  Leading missings are backfilled from the first report.  A (K, T)
+    ``y`` is imputed row by row along its last axis.  Idempotent.
     """
     y = np.asarray(y, dtype=float)
     if r is None:
         r = np.isfinite(y)
     else:
         r = np.asarray(r, dtype=bool)
-    if not r.any():
+    if not r.any(axis=-1).all():
         raise InsufficientDataError("cannot impute an all-missing series")
     # the latest report at or before each day; the first one before it
-    source = np.where(r, np.arange(len(y)), int(np.argmax(r)))
-    return y[np.maximum.accumulate(source)]
+    first = np.argmax(r, axis=-1)[..., None]
+    source = np.where(r, np.arange(y.shape[-1]), first)
+    return np.take_along_axis(y, np.maximum.accumulate(source, axis=-1),
+                              axis=-1)
 
 
 def predict_zero(series):
@@ -53,23 +59,47 @@ def _imputed(series):
     return locf_impute(series.y, series.r)
 
 
-def predict_mean(series):
-    """Mean of the imputed increments, excluding the final (target) increment."""
-    v = _imputed(series)
-    T = len(v)
+def _mean_increments(v):
+    """Mean imputed increment of each row of ``v``, the final one excluded."""
+    T = v.shape[-1]
     if T < 3:
         raise InsufficientDataError("mean model needs at least 3 days")
-    return float(np.diff(v)[: T - 2].mean())
+    return np.diff(v)[..., : T - 2].mean(axis=-1)
+
+
+def _modified_means(v):
+    """Zero where a row's last pre-target increment is zero, else its mean."""
+    mean = _mean_increments(v)
+    return np.where(v[..., -2] - v[..., -3] == 0.0, 0.0, mean)
+
+
+def _linreg_rows(v, z):
+    """Per-row OLS of the increments of ``v`` on (1, v_prev, z_prev).
+
+    ``v`` and ``z`` are (K, T); each row is solved by ``lstsq`` on its own
+    design.  Returns (coefficients (K, 3), rank-deficient (K,)).
+    """
+    T = v.shape[-1]
+    if T < 4:
+        raise InsufficientDataError("linear regression needs at least 4 days")
+    target = np.diff(v)
+    design = np.stack([np.ones_like(target), v[:, :-1], z[:, :-1]], axis=-1)
+    coefs = np.empty((len(v), 3))
+    deficient = np.empty(len(v), dtype=bool)
+    for k, (x, dy) in enumerate(zip(design, target)):
+        coefs[k], _, rank, _ = np.linalg.lstsq(x, dy, rcond=None)
+        deficient[k] = rank < 3
+    return coefs, deficient
+
+
+def predict_mean(series):
+    """Mean of the imputed increments, excluding the final (target) increment."""
+    return float(_mean_increments(_imputed(series)))
 
 
 def predict_modified_mean(series):
     """Zero when the last pre-target imputed increment is zero, else the mean."""
-    v = _imputed(series)
-    if len(v) < 3:
-        raise InsufficientDataError("modified mean model needs at least 3 days")
-    if v[-2] - v[-3] == 0.0:
-        return 0.0
-    return predict_mean(series)
+    return float(_modified_means(_imputed(series)))
 
 
 @dataclass
@@ -87,11 +117,6 @@ def fit_linreg_locf(series):
     Solved in closed form; rank-deficient designs get the minimum-norm
     solution and are flagged.
     """
-    v = _imputed(series)
-    T = len(v)
-    if T < 4:
-        raise InsufficientDataError("linear regression needs at least 4 days")
-    target = np.diff(v)
-    design = np.column_stack([np.ones(T - 1), v[:-1], series.z[:-1]])
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    return LinregFit(beta=Beta.from_array(coef), rank_deficient=rank < 3)
+    coefs, deficient = _linreg_rows(_imputed(series)[None], series.z[None])
+    return LinregFit(beta=Beta.from_array(coefs[0]),
+                     rank_deficient=bool(deficient[0]))

@@ -29,7 +29,9 @@ from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
                          censor_sweep, last_point_error, sensitivity_run)
-from .model import Beta, HospitalSeries, loss as model_loss, predict_trajectory
+# predict_trajectory is not called here; perfbench/tracing.py wraps this name.
+from .model import (Beta, HospitalSeries, bridge_cohort, loss as model_loss,
+                    predict_trajectory)
 from .optimizer import FitConfig
 from .sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
@@ -219,16 +221,21 @@ def cmd_benchmark(args):
     outdir = args["output_dir"]
     config = _fit_config(args)
     reports = _benchmark_reports(cohort, config, SharingSpec.parse(args["share"]))
-    rows = [[r.model, _fmt(r.summary["sum"]), _fmt(r.summary["mean"]),
-             _fmt(r.summary["q1"]), _fmt(r.summary["median"]),
-             _fmt(r.summary["q3"]), r.fallback_count] for r in reports]
+    # a model that scored no hospital has no sum; 0.0 would read as perfect
+    summaries = [dict(r.summary, sum=r.summary["sum"] if r.errors else None)
+                 for r in reports]
+    rows = [[r.model, _fmt(s["sum"]), _fmt(s["mean"]), _fmt(s["q1"]),
+             _fmt(s["median"]), _fmt(s["q3"]), r.fallback_count, len(r.errors)]
+            for r, s in zip(reports, summaries)]
     _write_csv(_artifact(outdir, "table1.csv"),
-               ["model", "sum", "mean", "q1", "median", "q3", "fallback_count"],
-               rows)
-    payload = {r.model: {"summary": r.summary,
+               ["model", "sum", "mean", "q1", "median", "q3", "fallback_count",
+                "n_scored"], rows)
+    payload = {r.model: {"summary": s,
                          "fallback_count": r.fallback_count,
+                         "n_scored": len(r.errors),
+                         "flags": r.flags,
                          "errors": {k: r.errors[k] for k in sorted(r.errors)}}
-               for r in reports}
+               for r, s in zip(reports, summaries)}
     _write_json(_artifact(outdir, "report.json"), payload)
     _write_manifest(outdir, "benchmark", args, ["table1.csv", "report.json"])
     return 0
@@ -369,35 +376,51 @@ def cmd_predict(args):
         if not args.get("future_z"):
             raise UsageError("--future-z is required when horizon > 0")
         future_z = _load_future_z(args["future_z"], args["incidence_column"])
-    scale = args["incidence_scale"]
-    rows = []
+    kept = []
     for s in cohort:
         if s.id not in betas:
             log.warning("no parameters for %s, skipped", s.id)
             continue
-        T = s.T
+        y, z = s.y, s.z
         if horizon > 0:
             # Forecast days are unreported days past T.  The incidence of day
             # T + horizon feeds no prediction, so it is padded with 0.
             zmap = future_z.get(s.id, {})
-            future = range(T + 1, T + horizon)
+            future = range(s.T + 1, s.T + horizon)
             missing = [d for d in future if d not in zmap]
             if missing:
                 raise UsageError(f"future z missing for {s.id} day {missing[0]}")
-            s = HospitalSeries(
-                s.id, np.concatenate([s.y, np.full(horizon, np.nan)]),
-                np.concatenate([s.z, [zmap[d] for d in future], [0.0]]))
-        traj = predict_trajectory(s.with_scaled_z(scale), betas[s.id])
-        for t in range(s.T):
-            if t >= T:
-                kind = "forecast"
-            elif traj.y_tilde[t] is None:
-                kind = "pre-report"
-            else:
-                kind = "observed" if s.r[t] else "bridged"
-            rows.append([s.id, t + 1,
-                         _fmt(s.y[t]) if s.r[t] else "",
-                         _fmt(traj.y_tilde[t]), _fmt(traj.dy_hat[t]), kind])
+            y = np.concatenate([y, np.full(horizon, np.nan)])
+            z = np.concatenate([z, [zmap[d] for d in future], [0.0]])
+        kept.append((s, y, z))
+    rows = []
+    if kept:
+        # One bridge over the cohort, right-padded with unreported days; the
+        # recursion is causal, so padding leaves each row's own days as they are.
+        days = max(len(y) for _, y, _ in kept)
+        Y = np.full((len(kept), days), np.nan)
+        Z = np.zeros((len(kept), days))
+        for i, (_, y, z) in enumerate(kept):
+            Y[i, :len(y)] = y
+            Z[i, :len(z)] = z
+        R = np.isfinite(Y)
+        y_tilde, dy_hat = bridge_cohort(
+            Y, R, Z * args["incidence_scale"],
+            np.array([betas[s.id].as_array() for s, _, _ in kept]))
+        for i, (s, y, _) in enumerate(kept):
+            first = int(np.argmax(R[i]))
+            cells = zip(y.tolist(), R[i].tolist(), y_tilde[i].tolist(),
+                        dy_hat[i].tolist())
+            for t, (obs, rep, state, inc) in enumerate(cells):
+                if t >= s.T:
+                    kind = "forecast"
+                elif t < first:
+                    kind = "pre-report"
+                else:
+                    kind = "observed" if rep else "bridged"
+                rows.append([s.id, t + 1, _fmt(obs) if rep else "",
+                             _fmt(state) if t >= first else "",
+                             _fmt(inc) if t > first else "", kind])
     _write_csv(_artifact(outdir, "trajectory.csv"),
                ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
                rows)

@@ -181,32 +181,39 @@ def simulate_cohort(spec):
     root = np.random.SeedSequence(spec.seed)
     incidence = simulate_seir(SeirParams(), spec.n_days)
     hospital_seeds = root.spawn(spec.n_hospitals)
-    cohort = []
+    K, T = spec.n_hospitals, spec.n_days
     betas = []
-    trajectories = []
-    width = len(str(spec.n_hospitals - 1))
-    for k in range(spec.n_hospitals):
+    z = np.empty((K, T))
+    y = np.empty((K, T))
+    noise = np.zeros((K, T - 1))
+    masks = []
+    for k in range(K):
         child = hospital_seeds[k].spawn(2)
         rng = np.random.Generator(np.random.PCG64(child[0]))
-        beta = Beta(b1=rng.uniform(*spec.b1_range),
-                    b2=rng.uniform(*B2_RANGE),
-                    b3=rng.uniform(*B3_RANGE))
+        betas.append(Beta(b1=rng.uniform(*spec.b1_range),
+                          b2=rng.uniform(*B2_RANGE),
+                          b3=rng.uniform(*B3_RANGE)))
         county_scale = rng.uniform(*COUNTY_SCALE_RANGE)
-        z = incidence * county_scale * rng.uniform(
-            1.0 - Z_JITTER, 1.0 + Z_JITTER, size=spec.n_days)
-        z_eff = z * spec.incidence_scale
-        y = np.empty(spec.n_days)
-        y[0] = rng.uniform(*Y0_RANGE)
-        for t in range(1, spec.n_days):
-            inc = beta.b1 + beta.b2 * y[t - 1] + beta.b3 * z_eff[t - 1]
-            if spec.noise_scale > 0:
-                inc += rng.normal(0.0, spec.noise_scale)
-            y[t] = max(0.0, y[t - 1] + inc)
-        mask = missingness_mask(spec.n_days, spec.missingness, child[1])
-        observed = np.where(mask, y, np.nan)
-        cohort.append(HospitalSeries(f"h{k:0{width}d}", observed, z))
-        betas.append(beta)
-        trajectories.append(y)
+        z[k] = incidence * county_scale * rng.uniform(
+            1.0 - Z_JITTER, 1.0 + Z_JITTER, size=T)
+        y[k, 0] = rng.uniform(*Y0_RANGE)
+        if spec.noise_scale > 0:
+            noise[k] = rng.normal(0.0, spec.noise_scale, size=T - 1)
+        masks.append(missingness_mask(T, spec.missingness, child[1]))
+    b1, b2, b3 = np.array([(b.b1, b.b2, b.b3) for b in betas]).T
+    z_eff = z * spec.incidence_scale
+    # every hospital's trajectory at once, day by day; a zero noise term
+    # changes no state, since the clamp below maps -0.0 and 0.0 alike
+    for t in range(1, T):
+        inc = b1 + b2 * y[:, t - 1] + b3 * z_eff[:, t - 1] + noise[:, t - 1]
+        x = y[:, t - 1] + inc
+        # max(0.0, x): zero for -0.0 and NaN as well
+        y[:, t] = np.where(x > 0.0, x, 0.0)
+    width = len(str(K - 1))
+    cohort = [HospitalSeries(f"h{k:0{width}d}", np.where(masks[k], y[k], np.nan),
+                             z[k])
+              for k in range(K)]
+    trajectories = list(y)
     return cohort, CohortTruth(betas=betas, trajectories=trajectories,
                                incidence_scale=spec.incidence_scale)
 

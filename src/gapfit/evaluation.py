@@ -6,11 +6,13 @@ the squared difference between a model's predicted increment into day T and
 the realized increment relative to the model's own state at day T-1.  Models
 that fail to fit a hospital are replaced by a fallback predictor and counted.
 
-Censor-and-recover rebuilds every censored trajectory with each model.  Zero,
-mean and LOCF regression are increment models with fixed coefficients, so
-they bridge the gaps through :func:`gapfit.model.predict_trajectory`, the
-increment model's own recursion; only modified mean, whose rule reads the
-previous rebuilt increment, walks its own loop.
+Every model works on the cohort as (K, T) arrays, once per fit or rebuild,
+not once per hospital.  Censor-and-recover rebuilds every censored trajectory
+with each model.  Zero, mean and LOCF regression are increment models with
+fixed coefficients, so they bridge the gaps through
+:func:`gapfit.model.bridge_cohort`, the increment model's own recursion; only
+modified mean, whose rule reads the previous rebuilt increment, walks its own
+day loop over whole rows.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
+# fit_linreg_locf, predict_mean, predict_modified_mean and predict_trajectory
+# are not called here; perfbench/tracing.py wraps them under these names.
+from .benchmarks import (BenchmarkKind, _linreg_rows, _mean_increments,
+                         _modified_means, fit_linreg_locf, locf_impute,
                          predict_mean, predict_modified_mean)
 from .errors import InsufficientDataError, UsageError
-from .model import Beta, predict_trajectory
-from .optimizer import FitConfig
+from .model import bridge_cohort, predict_trajectory
+from .optimizer import FitConfig, _batch_arrays
 from .sharing import SharingSpec, fit_shared
 
 __all__ = ["EvalReport", "WindowSpec", "CensorSpec", "LastPointPrediction",
@@ -65,34 +70,51 @@ def _summarize(values):
             "q1": float(q1), "median": float(med), "q3": float(q3)}
 
 
+def _predictions(increment, prev_state, ok):
+    """One LastPointPrediction per row; rows not ``ok`` carry no values."""
+    return [LastPointPrediction(i, p) if good else LastPointPrediction(ok=False)
+            for i, p, good in zip(increment.tolist(), prev_state.tolist(),
+                                  ok.tolist())]
+
+
 class BenchmarkPredictor:
-    """Last-point predictions from one of the closed-form benchmark models."""
+    """Last-point predictions from one of the closed-form benchmark models.
+
+    The model is computed over the whole cohort as row operations; a
+    hospital the model cannot predict (too few days, or no report before the
+    final day for LOCF regression) gets ``ok=False``.
+    """
 
     def __init__(self, kind):
         self.kind = BenchmarkKind(kind)
         self.tag = self.kind.value
 
-    def _predict_one(self, series):
-        v = locf_impute(series.y, series.r)
-        prev = float(v[-2])
+    def _increments(self, v, r, z):
+        """(increment (K,), ok (K,)) for imputed reports ``v``."""
+        K, T = v.shape
+        ok = np.ones(K, dtype=bool)
         if self.kind is BenchmarkKind.ZERO:
-            return LastPointPrediction(0.0, prev)
+            return np.zeros(K), ok
+        if T < 3:
+            return np.zeros(K), ~ok
         if self.kind is BenchmarkKind.MEAN:
-            return LastPointPrediction(predict_mean(series), prev)
+            return _mean_increments(v), ok
         if self.kind is BenchmarkKind.MODIFIED_MEAN:
-            return LastPointPrediction(predict_modified_mean(series), prev)
-        fitres = fit_linreg_locf(series.window(1, series.T - 1))
-        inc = fitres.predict_increment(prev, float(series.z[series.T - 2]))
-        return LastPointPrediction(inc, prev)
+            return _modified_means(v), ok
+        # fitted on days 1..T-1, which need a report of their own
+        ok = r[:, :-1].any(axis=1) if T - 1 >= 4 else ~ok
+        inc = np.zeros(K)
+        if ok.any():
+            coefs, _ = _linreg_rows(v[ok, :-1], z[ok, :-1])
+            inc[ok] = (coefs[:, 0] + coefs[:, 1] * v[ok, -2]
+                       + coefs[:, 2] * z[ok, -2])
+        return inc, ok
 
     def predict_cohort(self, cohort):
-        out = []
-        for s in cohort:
-            try:
-                out.append(self._predict_one(s))
-            except InsufficientDataError:
-                out.append(LastPointPrediction(ok=False))
-        return out
+        y, r, z = _batch_arrays(cohort)
+        v = locf_impute(y, r)
+        inc, ok = self._increments(v, r, z)
+        return _predictions(inc, v[:, -2], ok)
 
 
 class IncrementPredictor:
@@ -109,20 +131,19 @@ class IncrementPredictor:
         self.tag = f"increment[{self.sharing.label}]"
 
     def predict_cohort(self, cohort):
-        scale = self.config.incidence_scale
-        usable = [k for k, s in enumerate(cohort) if s.r[:-1].sum() >= 2]
-        heads = [cohort[k].window(1, cohort[k].T - 1) for k in usable]
-        out = [LastPointPrediction(ok=False) for _ in cohort]
-        if not heads:
-            return out
-        cohort_fit = fit_shared(heads, self.sharing, self.config)
-        for i, k in enumerate(usable):
-            res = cohort_fit.results[i]
-            if res is None or not res.converged:
-                continue
-            traj = predict_trajectory(cohort[k].with_scaled_z(scale), res.beta)
-            out[k] = LastPointPrediction(traj.dy_hat[-1], traj.y_tilde[-2])
-        return out
+        y, r, z = _batch_arrays(cohort)
+        usable = np.flatnonzero(r[:, :-1].sum(axis=1) >= 2)
+        beta = np.zeros((len(cohort), 3))
+        ok = np.zeros(len(cohort), dtype=bool)
+        if len(usable):
+            heads = [cohort[k].window(1, cohort[k].T - 1) for k in usable]
+            fits = fit_shared(heads, self.sharing, self.config).results
+            for k, res in zip(usable, fits):
+                if res is not None and res.converged:
+                    beta[k], ok[k] = res.beta.as_array(), True
+        y_tilde, dy_hat = bridge_cohort(
+            y, r, z * self.config.incidence_scale, beta)
+        return _predictions(dy_hat[:, -1], y_tilde[:, -2], ok)
 
 
 def last_point_error(cohort, predictor, fallback_predictor=None):
@@ -156,7 +177,7 @@ def last_point_error(cohort, predictor, fallback_predictor=None):
     report = EvalReport(model=predictor.tag, errors=errors,
                         summary=_summarize(list(errors.values())),
                         fallback_count=fallback_count, flags=flags)
-    if not errors:
+    if not any(s.r[-1] for s in cohort):
         report.flags.append("no hospital reported on the final day")
     return report
 
@@ -279,28 +300,31 @@ class CensorReport:
     flags: list = field(default_factory=list)
 
 
-def _reconstruct_benchmark(kind, series):
-    """Trajectory rebuilt by one benchmark model, as a float array.
+def _rebuild_benchmarks(y, r, z):
+    """Every benchmark model's rebuilt trajectories, {kind: (K, T) array}.
 
-    Zero, mean and LOCF regression are increment models with fixed
-    coefficients, so the model's own bridge carries them through the gaps.
+    ``y``, ``r`` and ``z`` are the censored cohort as (K, T) arrays.  Zero,
+    mean and LOCF regression are increment models with fixed coefficients,
+    so :func:`gapfit.model.bridge_cohort` carries each through the gaps.
     Modified mean predicts zero after a zero increment, which reads the
-    previous rebuilt increment, so it walks its own rule day by day.
+    previous rebuilt increment, so it walks its own rule day by day over
+    whole rows.
     """
-    if kind is BenchmarkKind.MODIFIED_MEAN:
-        mean_inc = predict_mean(series)
-        recon = series.y.copy()
-        for t in np.flatnonzero(~series.r[1:]) + 1:
-            prev_inc = recon[t - 1] - recon[t - 2] if t >= 2 else mean_inc
-            recon[t] = recon[t - 1] + (0.0 if prev_inc == 0.0 else mean_inc)
-        return recon
-    if kind is BenchmarkKind.ZERO:
-        beta = Beta()
-    elif kind is BenchmarkKind.MEAN:
-        beta = Beta(predict_mean(series))
-    else:
-        beta = fit_linreg_locf(series).beta
-    return np.asarray(predict_trajectory(series, beta).y_tilde, dtype=float)
+    v = locf_impute(y, r)
+    mean = _mean_increments(v)
+    zero = np.zeros((len(y), 3))
+    betas = {BenchmarkKind.ZERO: zero,
+             BenchmarkKind.MEAN: np.column_stack([mean, zero[:, 1:]]),
+             BenchmarkKind.LINREG_LOCF: _linreg_rows(v, z)[0]}
+    rebuilt = {kind: bridge_cohort(y, r, z, beta)[0]
+               for kind, beta in betas.items()}
+    recon = y.copy()
+    for t in range(1, y.shape[1]):
+        prev_inc = recon[:, t - 1] - recon[:, t - 2] if t >= 2 else mean
+        carried = recon[:, t - 1] + np.where(prev_inc == 0.0, 0.0, mean)
+        recon[:, t] = np.where(r[:, t], recon[:, t], carried)
+    rebuilt[BenchmarkKind.MODIFIED_MEAN] = recon
+    return rebuilt
 
 
 def censor_and_recover(cohort, spec, config=None):
@@ -325,6 +349,7 @@ def censor_and_recover(cohort, spec, config=None):
     if T - n_censor < 2:
         raise UsageError(
             f"rate {spec.rate} would leave fewer than 2 reports on T={T}")
+    truth, _, z = _batch_arrays(cohort)
     K = len(cohort)
     models = ["increment"] + [kind.value for kind in BenchmarkKind]
     sq_err = np.zeros((len(models), K))
@@ -332,25 +357,25 @@ def censor_and_recover(cohort, spec, config=None):
     for rep in range(spec.repetitions):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([spec.seed, int(spec.rate * 10000), rep])))
-        censored = []
-        for s in cohort:
-            drop = rng.choice(np.arange(1, T), size=n_censor, replace=False)
-            y = s.y.copy()
-            y[drop] = np.nan
-            censored.append(type(s)(s.id, y, s.z))
+        y = truth.copy()
+        for k in range(K):
+            y[k, rng.choice(np.arange(1, T), size=n_censor, replace=False)] = np.nan
+        r = np.isfinite(y)
+        censored = [type(s)(s.id, y[k], s.z) for k, s in enumerate(cohort)]
         inc_fit = fit_shared(censored, SharingSpec(), config)
-        for k, s in enumerate(cohort):
-            res = inc_fit.results[k]
-            if res is not None and res.converged:
-                scaled = censored[k].with_scaled_z(config.incidence_scale)
-                recons = [np.asarray(predict_trajectory(scaled, res.beta).y_tilde,
-                                     dtype=float)]
-            else:
-                flags.append(f"{s.id} rep {rep}: increment fit fell back")
-                recons = [_reconstruct_benchmark(BenchmarkKind.MEAN, censored[k])]
-            recons += [_reconstruct_benchmark(kind, censored[k])
-                       for kind in BenchmarkKind]
-            sq_err[:, k] += [np.mean((recon - s.y) ** 2) for recon in recons]
+        converged = np.array([res is not None and res.converged
+                              for res in inc_fit.results])
+        betas = np.array([res.beta.as_array() if ok else np.full(3, np.nan)
+                          for res, ok in zip(inc_fit.results, converged)])
+        rebuilt = _rebuild_benchmarks(y, r, z)
+        increment, _ = bridge_cohort(y, r, z * config.incidence_scale, betas)
+        # a fit that fell back is rebuilt by the mean model
+        increment = np.where(converged[:, None], increment,
+                             rebuilt[BenchmarkKind.MEAN])
+        flags += [f"{s.id} rep {rep}: increment fit fell back"
+                  for s, ok in zip(cohort, converged) if not ok]
+        recons = [increment] + [rebuilt[kind] for kind in BenchmarkKind]
+        sq_err += [np.mean((recon - truth) ** 2, axis=-1) for recon in recons]
     per_hospital = dict(zip(models, sq_err / spec.repetitions))
     summary = {m: _summarize(per_hospital[m]) for m in models}
     return CensorReport(rate=spec.rate, repetitions=spec.repetitions,

@@ -9,6 +9,13 @@ where ``y_tilde`` is the reported value whenever a report exists and otherwise
 the previous state plus the model's own predicted increment.  Missing reports
 are thereby bridged by carrying the model forward instead of imputing, and the
 loss scores only days with an actual report.
+
+The recursion is written twice, once per number type.  :func:`bridge_cohort`
+is the float bridge: one day loop over a whole (K, T) cohort, which every
+float consumer calls (:func:`predict_trajectory` is its one-row view).
+:func:`_bridge` walks one series in plain Python so that it also runs on
+DiffScalars; only :func:`loss` uses it, as the reference the tape engine
+differentiates.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, UsageError
 
-__all__ = ["HospitalSeries", "Beta", "Trajectory", "loss", "predict_trajectory",
-           "expand_gap", "predict_last_increment"]
+__all__ = ["HospitalSeries", "Beta", "Trajectory", "loss", "bridge_cohort",
+           "predict_trajectory", "expand_gap", "predict_last_increment"]
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ def _bridge(series, beta):
     Returns ``(first, states, preds)``: ``first`` is the 0-based first
     reported day, ``states[i]`` the bridged state on day ``first + i`` and
     ``preds[i]`` the predicted increment into day ``first + 1 + i``.  Works on
-    plain floats and DiffScalars alike.
+    plain floats and DiffScalars alike; :func:`loss` is its only caller, and
+    float callers use :func:`bridge_cohort`.
     """
     b1, b2, b3 = _coefs(beta)
     # Plain-float views keep numpy scalar types out of DiffScalar arithmetic.
@@ -169,16 +177,47 @@ def loss(series, beta):
     return sqerror / contribno
 
 
+def bridge_cohort(y, r, z, beta):
+    """The carry-forward recursion over a whole cohort, one day at a time.
+
+    ``y``, ``r`` and ``z`` are (K, T) arrays (reports, report mask, covariate)
+    and ``beta`` is (K, 3).  Returns ``(y_tilde, dy_hat)``, both (K, T):
+    ``y_tilde[k, t]`` is the report when present and otherwise the previous
+    state plus ``dy_hat[k, t]``, the predicted increment into day t.  Both
+    are NaN before a row's first report, and ``dy_hat`` also on that day.
+    Day t reads only days up to t, so right-padding a row with unreported
+    days leaves its own days unchanged.
+    """
+    y = np.asarray(y, dtype=float)
+    r = np.asarray(r, dtype=bool)
+    z = np.asarray(z, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    b1, b2, b3 = beta[:, 0], beta[:, 1], beta[:, 2]
+    y_tilde = np.full(y.shape, np.nan)
+    dy_hat = np.full(y.shape, np.nan)
+    state = np.where(r[:, 0], y[:, 0], np.nan)
+    y_tilde[:, 0] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, y.shape[1]):
+            pred = b1 + b2 * state + b3 * z[:, t - 1]
+            state = np.where(r[:, t], y[:, t], state + pred)
+            dy_hat[:, t] = pred
+            y_tilde[:, t] = state
+    return y_tilde, dy_hat
+
+
 def predict_trajectory(series, beta):
-    """Full bridged trajectory under ``beta``.
+    """Full bridged trajectory under ``beta``: one row of :func:`bridge_cohort`.
 
     Bridges every internal gap by the carry-forward recursion; entries before
     the first report are None.
     """
-    first, states, preds = _bridge(series, beta)
+    y_tilde, dy_hat = bridge_cohort(series.y[None], series.r[None],
+                                    series.z[None], [_coefs(beta)])
+    first = int(np.argmax(series.r))
     lead = [None] * first
-    return Trajectory(y_tilde=lead + [float(v) for v in states],
-                      dy_hat=lead + [None] + [float(v) for v in preds])
+    return Trajectory(y_tilde=lead + y_tilde[0, first:].tolist(),
+                      dy_hat=lead + [None] + dy_hat[0, first + 1:].tolist())
 
 
 def expand_gap(y_anchor, z_window, beta, gap_len):

@@ -356,32 +356,29 @@ def jacobi_etas(cohort, config):
     """
     from .benchmarks import locf_impute
 
-    etas = np.empty((len(cohort), 3))
-    for k, s in enumerate(cohort):
-        y = locf_impute(s.y)
-        z = s.z * config.incidence_scale
-        x = np.column_stack([np.ones(s.T - 1), y[:-1], z[:-1]])
-        h = 2.0 * np.einsum("ij,ij->j", x, x) / (s.T - 1)
-        etas[k] = config.eta_safety / np.maximum(h, 1e-12)
-    return etas
+    y, r, z = _batch_arrays(cohort)
+    v = locf_impute(y, r)
+    z = z * config.incidence_scale
+    n = y.shape[1] - 1
+    x = np.stack([np.ones((len(v), n)), v[:, :-1], z[:, :-1]], axis=-1)
+    h = 2.0 * np.einsum("kij,kij->kj", x, x) / n
+    return config.eta_safety / np.maximum(h, 1e-12)
 
 
 def warm_start_inits(cohort, config):
     """Per-hospital starting points from OLS on the LOCF-imputed increments.
 
     Exact for fully observed noiseless series; elsewhere a starting point a
-    few gradient steps from the optimum.  Returns a (K, 3) array.
+    few gradient steps from the optimum.  Series too short for the regression
+    start at ``config.init``.  Returns a (K, 3) array.
     """
-    from .benchmarks import fit_linreg_locf
+    from .benchmarks import _linreg_rows, locf_impute
 
-    inits = np.empty((len(cohort), 3))
-    for k, s in enumerate(cohort):
-        try:
-            lr = fit_linreg_locf(s.with_scaled_z(config.incidence_scale))
-        except InsufficientDataError:
-            inits[k] = config.init.as_array()
-            continue
-        inits[k] = lr.beta.as_array()
+    y, r, z = _batch_arrays(cohort)
+    try:
+        inits, _ = _linreg_rows(locf_impute(y, r), z * config.incidence_scale)
+    except InsufficientDataError:
+        return _per_row(config.init.as_array(), len(cohort))
     return inits
 
 

@@ -32,6 +32,22 @@ def test_locf_identity_on_complete_series():
     np.testing.assert_array_equal(locf_impute(y), y)
 
 
+def test_locf_2d_equals_rows():
+    rng = np.random.Generator(np.random.PCG64(17))
+    y = rng.uniform(0.0, 50.0, (40, 25))
+    y[rng.random(y.shape) < 0.6] = np.nan
+    y[~np.isfinite(y).any(axis=1), 0] = 1.0
+    y[3, :-1] = np.nan  # only the last day reported
+    y[5] = 7.0  # fully reported
+    both = locf_impute(y)
+    for row, got in zip(y, both):
+        np.testing.assert_array_equal(got, locf_impute(row))
+    np.testing.assert_array_equal(locf_impute(y, np.isfinite(y)), both)
+    y[1] = np.nan
+    with pytest.raises(InsufficientDataError):
+        locf_impute(y)
+
+
 def test_locf_all_missing_raises():
     with pytest.raises(InsufficientDataError):
         locf_impute([np.nan, np.nan])

@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+from gapfit import cli
 from gapfit.cli import main
+from gapfit.errors import (EvaluationError, GapfitError, InsufficientDataError,
+                           ParseError, TapeMismatchError, UsageError)
 
 
 def _run(*argv):
@@ -283,11 +286,23 @@ def test_benchmark_on_two_day_series_flags_models_needing_more_days(tmp_path):
     assert _run("benchmark", "--input", str(cohort),
                 "--output-dir", str(outdir), "--steps", "20") == 0
     report = json.loads((outdir / "report.json").read_text())
+    with open(outdir / "table1.csv") as fh:
+        table = {r["model"]: r for r in csv.DictReader(fh)}
     # only the zero model predicts from a single day; the others need more
     assert set(report["zero"]["errors"]) == {"a", "b"}
+    assert report["zero"]["n_scored"] == 2
+    assert table["zero"]["n_scored"] == "2"
+    assert float(table["zero"]["sum"]) == report["zero"]["summary"]["sum"]
     for model in ("mean", "modified_mean", "linreg_locf",
                   "increment[individual]"):
         assert report[model]["errors"] == {}
+        # a model that scored nobody has no sum, rather than a perfect 0.0
+        assert report[model]["n_scored"] == 0
+        assert report[model]["summary"]["sum"] is None
+        assert table[model]["n_scored"] == "0"
+        assert table[model]["sum"] == ""
+        assert report[model]["flags"] == ["a: no usable prediction",
+                                          "b: no usable prediction"]
 
 
 def test_rerun_accepts_manifest_with_threads(tmp_path):
@@ -317,3 +332,29 @@ def test_rerun_reproduces_bit_exactly(tmp_path):
                 "--output-dir", str(redo)) == 0
     for name in ("table1.csv", "report.json"):
         assert _read(benchdir / name) == _read(redo / name)
+
+
+# Every GapfitError class, and the other failures main() catches, with the
+# exit code the module docstring documents for it.
+EXIT_CODES = [
+    (UsageError("bad"), 2),
+    (InsufficientDataError("short"), 2),
+    (ParseError("bad cell", line=3), 1),
+    (OSError("unreadable"), 1),
+    (EvaluationError("nan", step=4), 3),
+    (TapeMismatchError("tapes"), 3),
+    (GapfitError("other"), 3),
+    (FloatingPointError("overflow"), 3),
+    (ZeroDivisionError("zero"), 3),
+]
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_error_class_maps_to_exit_code(monkeypatch, capsys, exc, code):
+    def handler(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "gradcheck", handler)
+    assert _run("gradcheck", "--trials", "1") == code
+    assert capsys.readouterr().err == f"error: {exc}\n"

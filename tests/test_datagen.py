@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gapfit.datagen import (MissingnessSpec, SeirParams, SeirState, SimSpec,
                             load_cohort, missingness_mask, save_cohort,
                             simulate_cohort, simulate_seir)
 from gapfit.errors import ParseError, UsageError
-from gapfit.model import loss
+from gapfit.model import HospitalSeries, loss
 from gapfit.optimizer import FitConfig, fit_cohort
 
 
@@ -145,6 +146,42 @@ def test_sim_spec_validation():
 
 
 # -- CSV round trip ---------------------------------------------------------
+
+_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def _cohorts(draw):
+    T = draw(st.integers(2, 12))
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                                min_size=1, max_size=8),
+                        min_size=1, max_size=5, unique=True))
+    cohort = []
+    for hid in ids:
+        y = draw(st.lists(st.one_of(st.none(), _counts), min_size=T,
+                          max_size=T).filter(
+                              lambda v: sum(x is not None for x in v) >= 2))
+        z = draw(st.lists(_counts, min_size=T, max_size=T))
+        cohort.append(HospitalSeries(
+            hid, [np.nan if v is None else v for v in y], z))
+    return cohort
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cohorts())
+def test_save_load_is_identity(tmp_path, cohort):
+    path = tmp_path / "cohort.csv"
+    save_cohort(cohort, path)
+    loaded, warnings = load_cohort(path)
+    assert warnings == []
+    assert [s.id for s in loaded] == [s.id for s in cohort]
+    for s, other in zip(cohort, loaded):
+        # NaN positions are compared too: assert_array_equal matches NaNs
+        np.testing.assert_array_equal(other.y, s.y)
+        np.testing.assert_array_equal(other.z, s.z)
+
 
 def test_save_load_round_trip(tmp_path):
     spec = SimSpec(n_hospitals=6, n_days=30, noise_scale=0.4, seed=44)

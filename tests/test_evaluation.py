@@ -5,7 +5,7 @@ from gapfit.benchmarks import BenchmarkKind, fit_linreg_locf, predict_mean
 from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.errors import UsageError
 from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
-                               IncrementPredictor, _reconstruct_benchmark,
+                               IncrementPredictor, _rebuild_benchmarks,
                                censor_and_recover,
                                last_point_error, sensitivity_run,
                                sliding_windows)
@@ -204,12 +204,14 @@ def test_benchmark_rebuild_matches_reference_loop(kind):
                     z=[1, 2, 0.5, 3, 1, 2, 4, 1, 0.5, 2, 3, 1]),
         make_series([3, 5, None, 8, None, None], z=[2, 1, 3, 2, 1, 4]),
     ]
-    for s in cohort:
-        recon = _reconstruct_benchmark(kind, s)
+    # the series differ in length, so each is rebuilt as a one-row cohort
+    rebuild = [_rebuild_benchmarks(s.y[None], s.r[None], s.z[None])[kind][0]
+               for s in cohort]
+    for s, recon in zip(cohort, rebuild):
         np.testing.assert_array_equal(recon, _reference_rebuild(kind, s))
         assert np.array_equal(recon[s.r], s.y[s.r])
     if kind is BenchmarkKind.MODIFIED_MEAN:
-        recon = _reconstruct_benchmark(kind, cohort[0])
+        recon = rebuild[0]
         assert predict_mean(cohort[0]) == 1.0
         assert list(recon[[1, 4, 5, 8, 9]]) == [5.0, 6.0, 6.0, 13.0, 14.0]
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gapfit.benchmarks import fit_linreg_locf
 from gapfit.errors import GapfitError, InsufficientDataError, UsageError
-from gapfit.model import (Beta, HospitalSeries, expand_gap, loss,
-                          predict_last_increment, predict_trajectory)
+from gapfit.model import (Beta, HospitalSeries, _bridge, bridge_cohort,
+                          expand_gap, loss, predict_last_increment,
+                          predict_trajectory)
 
 from conftest import make_series, random_gapped_series
 
@@ -138,6 +139,67 @@ def test_trajectory_matches_reports_where_present():
         for t in range(s.T):
             if s.r[t]:
                 assert traj.y_tilde[t] == s.y[t]
+
+
+# -- bridge_cohort ----------------------------------------------------------
+
+def _bridge_rows(cohort, betas, T):
+    """Reference: ``_bridge`` one series at a time, NaN-padded to (K, T)."""
+    y_tilde = np.full((len(cohort), T), np.nan)
+    dy_hat = np.full((len(cohort), T), np.nan)
+    for k, (s, beta) in enumerate(zip(cohort, betas)):
+        first, states, preds = _bridge(s, beta)
+        y_tilde[k, first:s.T] = states
+        dy_hat[k, first + 1:s.T] = preds
+    return y_tilde, dy_hat
+
+
+def _padded(cohort, T):
+    y = np.full((len(cohort), T), np.nan)
+    z = np.zeros((len(cohort), T))
+    for k, s in enumerate(cohort):
+        y[k, :s.T] = s.y
+        z[k, :s.T] = s.z
+    return y, np.isfinite(y), z
+
+
+def test_bridge_cohort_matches_per_row_bridge():
+    rng = np.random.Generator(np.random.PCG64(29))
+    for trial in range(40):
+        T = int(rng.integers(2, 30))
+        cohort = []
+        for k in range(int(rng.integers(1, 12))):
+            # ragged: every other trial right-pads rows of random length
+            n = int(rng.integers(2, T + 1)) if trial % 2 else T
+            y = rng.uniform(0.0, 30.0, n)
+            y[rng.random(n) < rng.uniform(0.0, 0.8)] = np.nan
+            if k % 3 == 1:
+                y[:int(rng.integers(1, n))] = np.nan  # leading unreported days
+            if k % 3 == 2:
+                y[n // 2:] = np.nan  # trailing gap
+            if not np.isfinite(y).any():
+                y[-1] = 1.0
+            cohort.append(HospitalSeries(k, y, rng.uniform(0.0, 5.0, n)))
+        betas = rng.uniform(-0.5, 0.5, (len(cohort), 3))
+        betas[0, 1] = 1e3 if trial % 5 == 0 else betas[0, 1]  # overflows
+        got = bridge_cohort(*_padded(cohort, T), betas)
+        want = _bridge_rows(cohort, betas, T)
+        for g, w in zip(got, want):
+            lengths = np.array([s.T for s in cohort])
+            own = np.arange(T) < lengths[:, None]
+            np.testing.assert_array_equal(np.where(own, g, 0.0),
+                                          np.where(own, w, 0.0))
+
+
+def test_predict_trajectory_is_one_row_of_bridge_cohort():
+    s = make_series([None, 4, None, None, 7, None], z=[1, 2, 3, 1, 2, 3])
+    beta = Beta(0.3, -0.05, 0.2)
+    traj = predict_trajectory(s, beta)
+    y_tilde, dy_hat = bridge_cohort(s.y[None], s.r[None], s.z[None],
+                                    [beta.as_array()])
+    assert traj.y_tilde[0] is None and traj.dy_hat[:2] == [None, None]
+    assert traj.y_tilde[1:] == y_tilde[0, 1:].tolist()
+    assert traj.dy_hat[2:] == dy_hat[0, 2:].tolist()
 
 
 # -- expand_gap oracle ------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gapfit import autodiff
-from gapfit.benchmarks import fit_linreg_locf
+from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, HospitalSeries, loss
 from gapfit.optimizer import (FitConfig, _Residuals, _loss_grad_batch,
@@ -268,6 +268,29 @@ def test_warm_start_inits_match_locf_ols():
     for k, s in enumerate(cohort):
         expected = fit_linreg_locf(s).beta.as_array()
         assert inits[k] == pytest.approx(expected, rel=1e-12)
+
+
+def test_jacobi_etas_and_warm_starts_match_per_series_loops():
+    rng = np.random.Generator(np.random.PCG64(47))
+    cohort = [random_gapped_series(rng, T=25, id=f"w{i}") for i in range(30)]
+    config = FitConfig(incidence_scale=0.01, eta_safety=0.15)
+    etas = np.empty((len(cohort), 3))
+    inits = np.empty((len(cohort), 3))
+    for k, s in enumerate(cohort):
+        y = locf_impute(s.y)
+        z = s.z * config.incidence_scale
+        x = np.column_stack([np.ones(s.T - 1), y[:-1], z[:-1]])
+        h = 2.0 * np.einsum("ij,ij->j", x, x) / (s.T - 1)
+        etas[k] = config.eta_safety / np.maximum(h, 1e-12)
+        inits[k] = fit_linreg_locf(
+            s.with_scaled_z(config.incidence_scale)).beta.as_array()
+    np.testing.assert_array_equal(jacobi_etas(cohort, config), etas)
+    np.testing.assert_array_equal(warm_start_inits(cohort, config), inits)
+    # too short for the regression: every row starts at config.init
+    short = [s.window(1, 3) for s in cohort[:4]]
+    config = FitConfig(init=Beta(0.1, -0.2, 0.3))
+    np.testing.assert_array_equal(warm_start_inits(short, config),
+                                  np.tile([0.1, -0.2, 0.3], (4, 1)))
 
 
 def test_jacobi_etas_shape_and_positivity():
