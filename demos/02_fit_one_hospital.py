@@ -30,13 +30,15 @@ def main():
           f"over {result.steps_used} steps, converged={result.converged}")
     print()
 
-    traj = predict_trajectory(series.with_scaled_z(config.incidence_scale),
-                              result.beta)
+    # predict_trajectory bridges a whole (K, T) cohort; here K = 1
+    y_tilde, dy_hat = predict_trajectory(
+        series.y[None], series.r[None],
+        series.z[None] * config.incidence_scale, [result.beta.as_array()])
     print(f"{'day':>4} {'reported':>9} {'bridged':>9} {'pred dy':>9}")
     for t in range(series.T):
         obs = f"{series.y[t]:9.1f}" if series.r[t] else f"{'.':>9}"
-        dy = f"{traj.dy_hat[t]:9.3f}" if t > 0 else f"{'':>9}"
-        print(f"{t:4d} {obs} {traj.y_tilde[t]:9.3f} {dy}")
+        dy = f"{dy_hat[0, t]:9.3f}" if t > 0 else f"{'':>9}"
+        print(f"{t:4d} {obs} {y_tilde[0, t]:9.3f} {dy}")
 
 
 if __name__ == "__main__":

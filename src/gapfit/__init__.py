@@ -4,7 +4,7 @@ benchmark models, parameter sharing, and evaluation protocols."""
 
 from .autodiff import DiffScalar, GradientResult, Tape, check_gradient, gradient
 from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
-                         predict_mean, predict_modified_mean, predict_zero)
+                         predict_mean, predict_modified_mean)
 from .datagen import (MissingnessSpec, SeirParams, SeirState, SimSpec,
                       load_cohort, missingness_mask, save_cohort,
                       simulate_cohort, simulate_seir)
@@ -14,8 +14,7 @@ from .evaluation import (BenchmarkPredictor, CensorSpec, EvalReport,
                          IncrementPredictor, WindowSpec, censor_and_recover,
                          censor_sweep, last_point_error, sensitivity_run,
                          sliding_windows)
-from .model import (Beta, HospitalSeries, Trajectory, expand_gap, loss,
-                    predict_last_increment, predict_trajectory)
+from .model import Beta, HospitalSeries, expand_gap, loss, predict_trajectory
 from .optimizer import (FitConfig, FitResult, detect_divergence, fit,
                         fit_cohort, jacobi_etas, l2_penalty, warm_start_inits)
 from .sharing import ALL_SHARING_SPECS, CohortFit, SharingSpec, fit_shared

@@ -29,9 +29,7 @@ from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
                          censor_sweep, last_point_error, sensitivity_run)
-# predict_trajectory is not called here; perfbench/tracing.py wraps this name.
-from .model import (Beta, HospitalSeries, bridge_cohort, loss as model_loss,
-                    predict_trajectory)
+from .model import Beta, HospitalSeries, loss as model_loss, predict_trajectory
 from .optimizer import FitConfig
 from .sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
@@ -207,20 +205,15 @@ def cmd_fit(args):
     return 0
 
 
-def _benchmark_reports(cohort, config, share_spec):
-    reports = [last_point_error(cohort, BenchmarkPredictor(kind))
-               for kind in BenchmarkKind]
-    reports.append(last_point_error(
-        cohort, IncrementPredictor(share_spec, config),
-        BenchmarkPredictor(BenchmarkKind.MEAN)))
-    return reports
-
-
 def cmd_benchmark(args):
     cohort, _ = _load(args)
     outdir = args["output_dir"]
     config = _fit_config(args)
-    reports = _benchmark_reports(cohort, config, SharingSpec.parse(args["share"]))
+    reports = [last_point_error(cohort, BenchmarkPredictor(kind))
+               for kind in BenchmarkKind]
+    reports.append(last_point_error(
+        cohort, IncrementPredictor(SharingSpec.parse(args["share"]), config),
+        BenchmarkPredictor(BenchmarkKind.MEAN)))
     # a model that scored no hospital has no sum; 0.0 would read as perfect
     summaries = [dict(r.summary, sum=r.summary["sum"] if r.errors else None)
                  for r in reports]
@@ -404,7 +397,7 @@ def cmd_predict(args):
             Y[i, :len(y)] = y
             Z[i, :len(z)] = z
         R = np.isfinite(Y)
-        y_tilde, dy_hat = bridge_cohort(
+        y_tilde, dy_hat = predict_trajectory(
             Y, R, Z * args["incidence_scale"],
             np.array([betas[s.id].as_array() for s, _, _ in kept]))
         for i, (s, y, _) in enumerate(kept):

@@ -10,9 +10,9 @@ Every model works on the cohort as (K, T) arrays, once per fit or rebuild,
 not once per hospital.  Censor-and-recover rebuilds every censored trajectory
 with each model.  Zero, mean and LOCF regression are increment models with
 fixed coefficients, so they bridge the gaps through
-:func:`gapfit.model.bridge_cohort`, the increment model's own recursion; only
-modified mean, whose rule reads the previous rebuilt increment, walks its own
-day loop over whole rows.
+:func:`gapfit.model.predict_trajectory`, the increment model's own recursion;
+only modified mean, whose rule reads the previous rebuilt increment, walks its
+own day loop over whole rows.
 """
 
 from __future__ import annotations
@@ -21,29 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# fit_linreg_locf, predict_mean, predict_modified_mean and predict_trajectory
-# are not called here; perfbench/tracing.py wraps them under these names.
-from .benchmarks import (BenchmarkKind, _linreg_rows, _mean_increments,
-                         _modified_means, fit_linreg_locf, locf_impute,
+from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                          predict_mean, predict_modified_mean)
 from .errors import InsufficientDataError, UsageError
-from .model import bridge_cohort, predict_trajectory
-from .optimizer import FitConfig, _batch_arrays
+from .model import predict_trajectory
+from .optimizer import FitConfig, _batch_arrays, _common_length
 from .sharing import SharingSpec, fit_shared
 
-__all__ = ["EvalReport", "WindowSpec", "CensorSpec", "LastPointPrediction",
-           "BenchmarkPredictor", "IncrementPredictor", "last_point_error",
-           "sliding_windows", "sensitivity_run", "SensitivityReport",
+__all__ = ["EvalReport", "WindowSpec", "CensorSpec", "BenchmarkPredictor",
+           "IncrementPredictor", "last_point_error", "sliding_windows",
+           "sensitivity_run", "SensitivityReport",
            "censor_and_recover", "censor_sweep", "CensorReport"]
-
-
-@dataclass
-class LastPointPrediction:
-    """One model's prediction for one hospital's final increment."""
-
-    increment: float = 0.0
-    prev_state: float = 0.0
-    ok: bool = True
 
 
 @dataclass
@@ -70,51 +58,42 @@ def _summarize(values):
             "q1": float(q1), "median": float(med), "q3": float(q3)}
 
 
-def _predictions(increment, prev_state, ok):
-    """One LastPointPrediction per row; rows not ``ok`` carry no values."""
-    return [LastPointPrediction(i, p) if good else LastPointPrediction(ok=False)
-            for i, p, good in zip(increment.tolist(), prev_state.tolist(),
-                                  ok.tolist())]
-
-
 class BenchmarkPredictor:
     """Last-point predictions from one of the closed-form benchmark models.
 
-    The model is computed over the whole cohort as row operations; a
-    hospital the model cannot predict (too few days, or no report before the
-    final day for LOCF regression) gets ``ok=False``.
+    ``predict_cohort`` returns (increment, prev_state, ok) as (K,) arrays:
+    the predicted increment into the final day, the state on the day before
+    it, and whether the model could predict the hospital at all (too few
+    days, or no report before the final day for LOCF regression, cannot).
+    Values in rows that are not ``ok`` are ignored.
     """
 
     def __init__(self, kind):
         self.kind = BenchmarkKind(kind)
         self.tag = self.kind.value
 
-    def _increments(self, v, r, z):
-        """(increment (K,), ok (K,)) for imputed reports ``v``."""
+    def predict_cohort(self, cohort):
+        y, r, z = _batch_arrays(cohort)
+        v = locf_impute(y, r)
         K, T = v.shape
+        prev = v[:, -2]
         ok = np.ones(K, dtype=bool)
         if self.kind is BenchmarkKind.ZERO:
-            return np.zeros(K), ok
+            return np.zeros(K), prev, ok
         if T < 3:
-            return np.zeros(K), ~ok
+            return np.zeros(K), prev, ~ok
         if self.kind is BenchmarkKind.MEAN:
-            return _mean_increments(v), ok
+            return predict_mean(v), prev, ok
         if self.kind is BenchmarkKind.MODIFIED_MEAN:
-            return _modified_means(v), ok
+            return predict_modified_mean(v), prev, ok
         # fitted on days 1..T-1, which need a report of their own
         ok = r[:, :-1].any(axis=1) if T - 1 >= 4 else ~ok
         inc = np.zeros(K)
         if ok.any():
-            coefs, _ = _linreg_rows(v[ok, :-1], z[ok, :-1])
-            inc[ok] = (coefs[:, 0] + coefs[:, 1] * v[ok, -2]
+            coefs, _ = fit_linreg_locf(v[ok, :-1], z[ok, :-1])
+            inc[ok] = (coefs[:, 0] + coefs[:, 1] * prev[ok]
                        + coefs[:, 2] * z[ok, -2])
-        return inc, ok
-
-    def predict_cohort(self, cohort):
-        y, r, z = _batch_arrays(cohort)
-        v = locf_impute(y, r)
-        inc, ok = self._increments(v, r, z)
-        return _predictions(inc, v[:, -2], ok)
+        return inc, prev, ok
 
 
 class IncrementPredictor:
@@ -123,6 +102,7 @@ class IncrementPredictor:
 
     Fitting uses only days 1..T-1; hospitals whose fit is unusable or
     diverged are marked not-ok so the evaluation can substitute a fallback.
+    ``predict_cohort`` returns arrays as :class:`BenchmarkPredictor` does.
     """
 
     def __init__(self, sharing=None, config=None):
@@ -141,9 +121,9 @@ class IncrementPredictor:
             for k, res in zip(usable, fits):
                 if res is not None and res.converged:
                     beta[k], ok[k] = res.beta.as_array(), True
-        y_tilde, dy_hat = bridge_cohort(
+        y_tilde, dy_hat = predict_trajectory(
             y, r, z * self.config.incidence_scale, beta)
-        return _predictions(dy_hat[:, -1], y_tilde[:, -2], ok)
+        return dy_hat[:, -1], y_tilde[:, -2], ok
 
 
 def last_point_error(cohort, predictor, fallback_predictor=None):
@@ -155,31 +135,29 @@ def last_point_error(cohort, predictor, fallback_predictor=None):
     """
     if len(cohort) == 0:
         raise UsageError("cohort must be nonempty")
-    outcomes = predictor.predict_cohort(cohort)
-    fallback = (fallback_predictor.predict_cohort(cohort)
-                if fallback_predictor is not None else None)
-    errors = {}
-    flags = []
-    fallback_count = 0
-    for k, s in enumerate(cohort):
-        if not s.r[-1]:
-            continue
-        o = outcomes[k]
-        if not o.ok:
-            if fallback is not None and fallback[k].ok:
-                o = fallback[k]
-                fallback_count += 1
-            else:
-                flags.append(f"{s.id}: no usable prediction")
-                continue
-        realized = float(s.y[-1]) - o.prev_state
-        errors[s.id] = (o.increment - realized) ** 2
-    report = EvalReport(model=predictor.tag, errors=errors,
-                        summary=_summarize(list(errors.values())),
-                        fallback_count=fallback_count, flags=flags)
-    if not any(s.r[-1] for s in cohort):
-        report.flags.append("no hospital reported on the final day")
-    return report
+    inc, prev, ok = predictor.predict_cohort(cohort)
+    if fallback_predictor is not None:
+        f_inc, f_prev, f_ok = fallback_predictor.predict_cohort(cohort)
+    else:
+        f_inc, f_prev, f_ok = inc, prev, np.zeros(len(cohort), dtype=bool)
+    ids = [s.id for s in cohort]
+    last = np.array([s.y[-1] for s in cohort])
+    final = np.isfinite(last)
+    fell_back = final & ~ok & f_ok
+    scored = final & (ok | fell_back)
+    inc = np.where(fell_back, f_inc, inc)[scored]
+    prev = np.where(fell_back, f_prev, prev)[scored]
+    # float_power calls libm's pow, as Python's ** does; the product d * d
+    # (np.square) differs from it in the last bit for some d
+    sq = np.float_power(inc - (last[scored] - prev), 2.0)
+    errors = dict(zip([ids[k] for k in np.flatnonzero(scored)], sq.tolist()))
+    flags = [f"{ids[k]}: no usable prediction"
+             for k in np.flatnonzero(final & ~scored)]
+    if not final.any():
+        flags.append("no hospital reported on the final day")
+    return EvalReport(model=predictor.tag, errors=errors,
+                      summary=_summarize(list(errors.values())),
+                      fallback_count=int(fell_back.sum()), flags=flags)
 
 
 @dataclass(frozen=True)
@@ -229,12 +207,16 @@ def sensitivity_run(cohort, sharing_specs, config=None,
     For each window the models are fitted on the window minus its last day and
     scored on that last day; reported is the per-window improvement
     (baseline error - model error, larger is better) with quantiles over
-    windows per sharing combination.
+    windows per sharing combination.  A window that is empty, or where the
+    baseline scored no hospital, gets NaN and a flag.  Where the baseline
+    scored anyone, so does the increment model: its mean-model fallback
+    predicts every hospital of a window of 3 or more days.
     """
     if config is None:
         config = FitConfig()
-    T = cohort[0].T
-    windows = sliding_windows(T, window_length)
+    if len(cohort) == 0:
+        raise UsageError("cohort must be nonempty")
+    windows = sliding_windows(_common_length(cohort), window_length)
     flags = []
     per_spec_diffs = {spec.label: [] for spec in sharing_specs}
     baseline_predictor = BenchmarkPredictor(baseline)
@@ -246,12 +228,16 @@ def sensitivity_run(cohort, sharing_specs, config=None,
                 wcohort.append(s.window(w.start, w.end))
             except InsufficientDataError:
                 flags.append(f"window {w.start}: {s.id} has no reports, dropped")
-        if not wcohort:
-            flags.append(f"window {w.start}: empty, skipped")
+        skip = "empty" if not wcohort else None
+        if wcohort:
+            base_report = last_point_error(wcohort, baseline_predictor)
+            if not base_report.errors:
+                skip = f"{base_report.model} scored no hospital"
+        if skip:
+            flags.append(f"window {w.start}: {skip}, skipped")
             for spec in sharing_specs:
                 per_spec_diffs[spec.label].append(float("nan"))
             continue
-        base_report = last_point_error(wcohort, baseline_predictor)
         for spec in sharing_specs:
             model_report = last_point_error(
                 wcohort, IncrementPredictor(spec, config), fallback)
@@ -305,18 +291,18 @@ def _rebuild_benchmarks(y, r, z):
 
     ``y``, ``r`` and ``z`` are the censored cohort as (K, T) arrays.  Zero,
     mean and LOCF regression are increment models with fixed coefficients,
-    so :func:`gapfit.model.bridge_cohort` carries each through the gaps.
+    so :func:`gapfit.model.predict_trajectory` carries each through the gaps.
     Modified mean predicts zero after a zero increment, which reads the
     previous rebuilt increment, so it walks its own rule day by day over
     whole rows.
     """
     v = locf_impute(y, r)
-    mean = _mean_increments(v)
+    mean = predict_mean(v)
     zero = np.zeros((len(y), 3))
     betas = {BenchmarkKind.ZERO: zero,
              BenchmarkKind.MEAN: np.column_stack([mean, zero[:, 1:]]),
-             BenchmarkKind.LINREG_LOCF: _linreg_rows(v, z)[0]}
-    rebuilt = {kind: bridge_cohort(y, r, z, beta)[0]
+             BenchmarkKind.LINREG_LOCF: fit_linreg_locf(v, z)[0]}
+    rebuilt = {kind: predict_trajectory(y, r, z, beta)[0]
                for kind, beta in betas.items()}
     recon = y.copy()
     for t in range(1, y.shape[1]):
@@ -368,7 +354,8 @@ def censor_and_recover(cohort, spec, config=None):
         betas = np.array([res.beta.as_array() if ok else np.full(3, np.nan)
                           for res, ok in zip(inc_fit.results, converged)])
         rebuilt = _rebuild_benchmarks(y, r, z)
-        increment, _ = bridge_cohort(y, r, z * config.incidence_scale, betas)
+        increment, _ = predict_trajectory(y, r, z * config.incidence_scale,
+                                          betas)
         # a fit that fell back is rebuilt by the mean model
         increment = np.where(converged[:, None], increment,
                              rebuilt[BenchmarkKind.MEAN])

@@ -10,24 +10,23 @@ the previous state plus the model's own predicted increment.  Missing reports
 are thereby bridged by carrying the model forward instead of imputing, and the
 loss scores only days with an actual report.
 
-The recursion is written twice, once per number type.  :func:`bridge_cohort`
-is the float bridge: one day loop over a whole (K, T) cohort, which every
-float consumer calls (:func:`predict_trajectory` is its one-row view).
-:func:`_bridge` walks one series in plain Python so that it also runs on
-DiffScalars; only :func:`loss` uses it, as the reference the tape engine
-differentiates.
+The recursion is written twice, once per number type.
+:func:`predict_trajectory` is the float bridge: one day loop over a whole
+(K, T) cohort, which every float consumer calls.  :func:`_bridge` walks one
+series in plain Python so that it also runs on DiffScalars; only :func:`loss`
+uses it, as the reference the tape engine differentiates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, UsageError
 
-__all__ = ["HospitalSeries", "Beta", "Trajectory", "loss", "bridge_cohort",
-           "predict_trajectory", "expand_gap", "predict_last_increment"]
+__all__ = ["HospitalSeries", "Beta", "loss", "predict_trajectory",
+           "expand_gap"]
 
 
 @dataclass(frozen=True)
@@ -102,19 +101,6 @@ class HospitalSeries:
         return HospitalSeries(self.id, self.y, self.z * scale)
 
 
-@dataclass
-class Trajectory:
-    """Bridged state and predicted increments, day by day.
-
-    Entries are None before the first report; afterwards ``y_tilde[t]`` equals
-    the report when present and the carried-forward prediction otherwise, and
-    ``dy_hat[t]`` is the model's predicted increment into day t.
-    """
-
-    y_tilde: list = field(default_factory=list)
-    dy_hat: list = field(default_factory=list)
-
-
 def _coefs(beta):
     if isinstance(beta, Beta):
         return beta.b1, beta.b2, beta.b3
@@ -129,7 +115,7 @@ def _bridge(series, beta):
     reported day, ``states[i]`` the bridged state on day ``first + i`` and
     ``preds[i]`` the predicted increment into day ``first + 1 + i``.  Works on
     plain floats and DiffScalars alike; :func:`loss` is its only caller, and
-    float callers use :func:`bridge_cohort`.
+    float callers use :func:`predict_trajectory`.
     """
     b1, b2, b3 = _coefs(beta)
     # Plain-float views keep numpy scalar types out of DiffScalar arithmetic.
@@ -177,7 +163,7 @@ def loss(series, beta):
     return sqerror / contribno
 
 
-def bridge_cohort(y, r, z, beta):
+def predict_trajectory(y, r, z, beta):
     """The carry-forward recursion over a whole cohort, one day at a time.
 
     ``y``, ``r`` and ``z`` are (K, T) arrays (reports, report mask, covariate)
@@ -206,20 +192,6 @@ def bridge_cohort(y, r, z, beta):
     return y_tilde, dy_hat
 
 
-def predict_trajectory(series, beta):
-    """Full bridged trajectory under ``beta``: one row of :func:`bridge_cohort`.
-
-    Bridges every internal gap by the carry-forward recursion; entries before
-    the first report are None.
-    """
-    y_tilde, dy_hat = bridge_cohort(series.y[None], series.r[None],
-                                    series.z[None], [_coefs(beta)])
-    first = int(np.argmax(series.r))
-    lead = [None] * first
-    return Trajectory(y_tilde=lead + y_tilde[0, first:].tolist(),
-                      dy_hat=lead + [None] + dy_hat[0, first + 1:].tolist())
-
-
 def expand_gap(y_anchor, z_window, beta, gap_len):
     """Predicted increment after ``gap_len`` carried steps, in closed form.
 
@@ -242,15 +214,3 @@ def expand_gap(y_anchor, z_window, beta, gap_len):
     for j in range(gap_len):
         state += growth ** (gap_len - 1 - j) * (b1 + b3 * z_window[j])
     return b1 + b2 * state + b3 * z_window[gap_len]
-
-
-def predict_last_increment(series, beta):
-    """Model prediction for the increment into the final day.
-
-    Evaluates the bridged trajectory on days 1..T-1 and returns the predicted
-    increment dy_hat for day T; independent of whether day T was reported.
-    """
-    if int(series.r[:-1].sum()) < 2:
-        raise InsufficientDataError(
-            f"series {series.id!r} needs >= 2 reports before the last day")
-    return predict_trajectory(series, beta).dy_hat[-1]

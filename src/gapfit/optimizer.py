@@ -128,11 +128,19 @@ def detect_divergence(trace, beta):
 # gap-aware batch kernel
 
 
-def _batch_arrays(cohort):
+def _common_length(cohort):
+    """The number of days every series covers; differing lengths raise."""
     T = cohort[0].T
     for s in cohort:
         if s.T != T:
-            raise UsageError("cohort series must share the same length")
+            raise UsageError(
+                f"cohort series must share the same length: {s.id!r} has "
+                f"{s.T} days, {cohort[0].id!r} has {T}")
+    return T
+
+
+def _batch_arrays(cohort):
+    _common_length(cohort)
     y = np.stack([s.y for s in cohort])
     z = np.stack([s.z for s in cohort])
     r = np.stack([s.r for s in cohort])
@@ -345,47 +353,47 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
     return beta, traces, converged, steps_used
 
 
-def jacobi_etas(cohort, config):
+def jacobi_etas(y, r, z, config):
     """Per-hospital, per-parameter step sizes from the LOCF-imputed design.
 
-    Scales each coordinate by the inverse diagonal of H = (2/n) X'X, the
-    Hessian of the fully observed least-squares objective.
-    ``config.eta_safety`` trades speed against stability; the bridged loss is
-    sharper than the imputed design suggests, so values much above 0.2 can
-    destabilize heavily gapped series.  Returns a (K, 3) array of step sizes.
+    ``y``, ``r`` and ``z`` are the cohort's (K, T) arrays, ``z`` already
+    multiplied by ``config.incidence_scale``.  Scales each coordinate by the
+    inverse diagonal of H = (2/n) X'X, the Hessian of the fully observed
+    least-squares objective.  ``config.eta_safety`` trades speed against
+    stability; the bridged loss is sharper than the imputed design suggests,
+    so values much above 0.2 can destabilize heavily gapped series.  Returns
+    a (K, 3) array of step sizes.
     """
     from .benchmarks import locf_impute
 
-    y, r, z = _batch_arrays(cohort)
     v = locf_impute(y, r)
-    z = z * config.incidence_scale
     n = y.shape[1] - 1
     x = np.stack([np.ones((len(v), n)), v[:, :-1], z[:, :-1]], axis=-1)
     h = 2.0 * np.einsum("kij,kij->kj", x, x) / n
     return config.eta_safety / np.maximum(h, 1e-12)
 
 
-def warm_start_inits(cohort, config):
+def warm_start_inits(y, r, z, config):
     """Per-hospital starting points from OLS on the LOCF-imputed increments.
 
-    Exact for fully observed noiseless series; elsewhere a starting point a
-    few gradient steps from the optimum.  Series too short for the regression
-    start at ``config.init``.  Returns a (K, 3) array.
+    Takes the same arrays as :func:`jacobi_etas`.  Exact for fully observed
+    noiseless series; elsewhere a starting point a few gradient steps from
+    the optimum.  Series too short for the regression start at
+    ``config.init``.  Returns a (K, 3) array.
     """
-    from .benchmarks import _linreg_rows, locf_impute
+    from .benchmarks import fit_linreg_locf, locf_impute
 
-    y, r, z = _batch_arrays(cohort)
     try:
-        inits, _ = _linreg_rows(locf_impute(y, r), z * config.incidence_scale)
+        inits, _ = fit_linreg_locf(locf_impute(y, r), z)
     except InsufficientDataError:
-        return _per_row(config.init.as_array(), len(cohort))
+        return _per_row(config.init.as_array(), len(y))
     return inits
 
 
-def _resolve_overrides(cohort, config):
+def _resolve_overrides(y, r, z, config):
     """Per-hospital (eta, init) from ``auto_eta`` and ``warm_start``, else None."""
-    eta = jacobi_etas(cohort, config) if config.auto_eta else None
-    init = warm_start_inits(cohort, config) if config.warm_start else None
+    eta = jacobi_etas(y, r, z, config) if config.auto_eta else None
+    init = warm_start_inits(y, r, z, config) if config.warm_start else None
     return eta, init
 
 

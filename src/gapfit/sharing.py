@@ -92,10 +92,9 @@ def fit_shared(cohort, spec, config=None, record_history=False):
     results = [None] * len(cohort)
     history = [] if record_history else None
     if usable:
-        fitted = [cohort[k] for k in usable]
-        eta, init = _resolve_overrides(fitted, config)
-        y, r, z = _batch_arrays([s.with_scaled_z(config.incidence_scale)
-                                 for s in fitted])
+        y, r, z = _batch_arrays([cohort[k] for k in usable])
+        z = z * config.incidence_scale
+        eta, init = _resolve_overrides(y, r, z, config)
         shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
         beta, traces, converged, steps_used = _run_batch(
             y, r, z, config, shared_dims=shared0, eta=eta, init=init,

@@ -3,11 +3,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gapfit.benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
-                               predict_mean, predict_modified_mean,
-                               predict_zero)
+                               predict_mean, predict_modified_mean)
 from gapfit.errors import InsufficientDataError
+from gapfit.evaluation import BenchmarkPredictor
 
 from conftest import make_series
+
+
+def imputed(values):
+    """LOCF-imputed series; None entries in ``values`` mean 'not reported'."""
+    return locf_impute([np.nan if v is None else v for v in values])
+
+
+def linreg(y, z):
+    """``fit_linreg_locf`` on one series: (coefficients, rank-deficient)."""
+    coefs, deficient = fit_linreg_locf(imputed(y)[None],
+                                       np.asarray(z, dtype=float)[None])
+    return coefs[0], bool(deficient[0])
 
 
 def test_kind_enumeration_closed():
@@ -75,44 +87,45 @@ def test_locf_idempotent(values):
 # -- zero / mean / modified mean --------------------------------------------
 
 def test_zero_model_always_zero():
-    assert predict_zero(make_series([2, 3, 4])) == 0.0
-    assert predict_zero(make_series([2, None, 4], z=[0, 0, 0])) == 0.0
+    cohort = [make_series([2, 3, 4], id="a"),
+              make_series([2, None, 4], z=[0, 0, 0], id="b")]
+    inc, _, ok = BenchmarkPredictor(BenchmarkKind.ZERO).predict_cohort(cohort)
+    assert inc.tolist() == [0.0, 0.0] and ok.all()
 
 
 def test_mean_model_anchor_value():
-    assert predict_mean(make_series([2, 3, 3, 4])) == 0.5
+    assert predict_mean(imputed([2, 3, 3, 4])) == 0.5
 
 
 def test_mean_model_on_imputed_series():
     # y=(2,.,4) imputes to (2,2,4); only the first increment counts.
-    assert predict_mean(make_series([2, None, 4])) == 0.0
+    assert predict_mean(imputed([2, None, 4])) == 0.0
 
 
 def test_mean_model_constant_series():
-    assert predict_mean(make_series([5, 5, 5, 5])) == 0.0
+    assert predict_mean(imputed([5, 5, 5, 5])) == 0.0
 
 
 def test_mean_model_needs_three_days():
     with pytest.raises(InsufficientDataError):
-        predict_mean(make_series([2, 3]))
+        predict_mean(imputed([2, 3]))
 
 
 def test_modified_mean_case_split():
     # last pre-target imputed increment zero -> 0
-    assert predict_modified_mean(make_series([2, 3, 3, None])) == 0.0
+    assert predict_modified_mean(imputed([2, 3, 3, None])) == 0.0
     # nonzero -> falls through to the mean model
-    s = make_series([2, 3, 4, 6])
-    assert predict_modified_mean(s) == predict_mean(s)
+    v = imputed([2, 3, 4, 6])
+    assert predict_modified_mean(v) == predict_mean(v)
 
 
 def test_modified_mean_exhaustive_small_cases():
     for vals in [(1, 2, 3, 4), (1, 1, 2, 2), (3, 2, 2, 5), (0, 0, 0, 0)]:
-        s = make_series(vals)
-        v = locf_impute(np.asarray(vals, dtype=float))
+        v = imputed(vals)
         if v[-2] - v[-3] == 0.0:
-            assert predict_modified_mean(s) == 0.0
+            assert predict_modified_mean(v) == 0.0
         else:
-            assert predict_modified_mean(s) == predict_mean(s)
+            assert predict_modified_mean(v) == predict_mean(v)
 
 
 # -- linear regression on LOCF data -----------------------------------------
@@ -126,19 +139,18 @@ def test_linreg_recovers_exact_linear_data():
     y[0] = 10.0
     for t in range(1, T):
         y[t] = y[t - 1] + true[0] + true[1] * y[t - 1] + true[2] * z[t - 1]
-    fitres = fit_linreg_locf(make_series(y, z=z))
-    assert fitres.beta.as_array() == pytest.approx(true, abs=1e-10)
-    assert not fitres.rank_deficient
+    coefs, deficient = linreg(y, z)
+    assert coefs == pytest.approx(true, abs=1e-10)
+    assert not deficient
 
 
 def test_linreg_flags_rank_deficiency():
-    fitres = fit_linreg_locf(make_series([5, 5, 5, 5, 5], z=[2, 2, 2, 2, 2]))
-    assert fitres.rank_deficient
+    assert linreg([5, 5, 5, 5, 5], [2, 2, 2, 2, 2])[1]
 
 
 def test_linreg_needs_four_days():
     with pytest.raises(InsufficientDataError):
-        fit_linreg_locf(make_series([2, 3, 4]))
+        linreg([2, 3, 4], [1, 1, 1])
 
 
 def test_linreg_is_least_squares_optimum():
@@ -146,17 +158,20 @@ def test_linreg_is_least_squares_optimum():
     T = 20
     y = rng.uniform(1, 20, T)
     z = rng.uniform(0, 5, T)
-    s = make_series(y, z=z)
-    fitres = fit_linreg_locf(s)
+    coefs, _ = linreg(y, z)
     X = np.column_stack([np.ones(T - 1), y[:-1], z[:-1]])
     target = np.diff(y)
-    best = np.sum((X @ fitres.beta.as_array() - target) ** 2)
+    best = np.sum((X @ coefs - target) ** 2)
     for _ in range(50):
-        probe = fitres.beta.as_array() + rng.normal(0, 0.05, 3)
+        probe = coefs + rng.normal(0, 0.05, 3)
         assert best <= np.sum((X @ probe - target) ** 2) + 1e-12
 
 
 def test_linreg_predict_increment():
-    fitres = fit_linreg_locf(make_series([2, 3, 4, 5]))
-    assert fitres.predict_increment(5.0, 1.0) == pytest.approx(
-        fitres.beta.b1 + fitres.beta.b2 * 5.0 + fitres.beta.b3 * 1.0)
+    # the benchmark fits days 1..T-1 and steps once from the state on day T-1
+    s = make_series([2, 3, None, 5, 4], z=[1, 2, 1, 3, 2])
+    inc, prev, ok = BenchmarkPredictor(
+        BenchmarkKind.LINREG_LOCF).predict_cohort([s])
+    b1, b2, b3 = linreg(s.y[:-1], s.z[:-1])[0]
+    assert ok[0] and prev[0] == 5.0
+    assert inc[0] == pytest.approx(b1 + b2 * 5.0 + b3 * 3.0)

@@ -305,6 +305,23 @@ def test_benchmark_on_two_day_series_flags_models_needing_more_days(tmp_path):
                                           "b: no usable prediction"]
 
 
+@pytest.mark.parametrize("command", ["fit", "benchmark", "sensitivity",
+                                     "censor"])
+def test_ragged_cohort_exits_2_naming_the_hospital(tmp_path, capsys, command):
+    # hospital a covers 5 days, b and c cover 6; only predict accepts that
+    cohort = tmp_path / "cohort.csv"
+    _write(cohort, ["hospital_id", "day", "cases", "incidence"],
+           [[h, d, 2.0 + d, 1.0] for h, n in (("a", 5), ("b", 6), ("c", 6))
+            for d in range(1, n + 1)])
+    outdir = tmp_path / "out"
+    rc = _run(command, "--input", str(cohort), "--output-dir", str(outdir),
+              "--steps", "5",
+              *(["--window-len", "3"] if command == "sensitivity" else []))
+    assert rc == 2
+    assert "'b' has 6 days, 'a' has 5" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_rerun_accepts_manifest_with_threads(tmp_path):
     # Manifests written before --threads was removed still carry it.
     outdir = _simulate(tmp_path)

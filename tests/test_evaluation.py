@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gapfit.benchmarks import BenchmarkKind, fit_linreg_locf, predict_mean
+from gapfit.benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
+                               predict_mean)
 from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.errors import UsageError
 from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
@@ -9,8 +10,8 @@ from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
                                censor_and_recover,
                                last_point_error, sensitivity_run,
                                sliding_windows)
-from gapfit.model import Beta, predict_last_increment
-from gapfit.optimizer import FitConfig
+from gapfit.model import predict_trajectory
+from gapfit.optimizer import FitConfig, _batch_arrays
 from gapfit.sharing import SharingSpec
 
 from conftest import make_series
@@ -27,13 +28,11 @@ class TruthPredictor:
         self.scale = scale
 
     def predict_cohort(self, cohort):
-        from gapfit.evaluation import LastPointPrediction
-        out = []
-        for s, beta, traj in zip(cohort, self.betas, self.trajectories):
-            scaled = s.with_scaled_z(self.scale)
-            inc = predict_last_increment(scaled, beta)
-            out.append(LastPointPrediction(inc, float(traj[-2])))
-        return out
+        y, r, z = _batch_arrays(cohort)
+        _, dy_hat = predict_trajectory(
+            y, r, z * self.scale, [b.as_array() for b in self.betas])
+        prev = np.array([traj[-2] for traj in self.trajectories])
+        return dy_hat[:, -1], prev, np.ones(len(cohort), dtype=bool)
 
 
 def _noiseless_cohort(seed=5, K=8):
@@ -106,6 +105,83 @@ def test_empty_cohort_rejected():
         last_point_error([], BenchmarkPredictor(BenchmarkKind.ZERO))
 
 
+class StubPredictor:
+    """Fixed (increment, prev_state, ok) arrays, as ``predict_cohort`` gives."""
+
+    def __init__(self, tag, increment, prev_state, ok):
+        self.tag = tag
+        self.outcome = (increment, prev_state, ok)
+
+    def predict_cohort(self, cohort):
+        return self.outcome
+
+
+def _reference_last_point_error(cohort, predictor, fallback_predictor=None):
+    """The per-hospital loop ``last_point_error`` replaced, kept as oracle."""
+    def rows(p):
+        inc, prev, ok = p.predict_cohort(cohort)
+        return list(zip(inc.tolist(), prev.tolist(), ok.tolist()))
+
+    outcomes = rows(predictor)
+    fallback = rows(fallback_predictor) if fallback_predictor else None
+    errors, flags, fallback_count = {}, [], 0
+    for k, s in enumerate(cohort):
+        if not s.r[-1]:
+            continue
+        inc, prev, ok = outcomes[k]
+        if not ok:
+            if fallback is not None and fallback[k][2]:
+                inc, prev, _ = fallback[k]
+                fallback_count += 1
+            else:
+                flags.append(f"{s.id}: no usable prediction")
+                continue
+        realized = float(s.y[-1]) - prev
+        errors[s.id] = (inc - realized) ** 2
+    if not any(s.r[-1] for s in cohort):
+        flags.append("no hospital reported on the final day")
+    return errors, flags, fallback_count
+
+
+def test_last_point_error_matches_reference_loop():
+    rng = np.random.Generator(np.random.PCG64(71))
+    for trial in range(60):
+        K, T = int(rng.integers(1, 40)), int(rng.integers(2, 9))
+        y = rng.uniform(0.0, 1e3, (K, T))
+        y[rng.random((K, T)) < 0.4] = np.nan
+        y[:, 0] = rng.uniform(0.0, 1e3, K)
+        if trial % 10 == 0:
+            y[:, -1] = np.nan  # nobody reported on the final day
+        cohort = [make_series(row, id=f"h{k}") for k, row in enumerate(y)]
+
+        def stub(tag):
+            ok = rng.random(K) < rng.uniform(0.0, 1.0)
+            inc = np.where(ok, rng.normal(0.0, 1e3, K), np.nan)
+            prev = np.where(ok, rng.uniform(0.0, 1e3, K), np.nan)
+            return StubPredictor(tag, inc, prev, ok)
+
+        primary = stub("primary")
+        for fallback in (None, stub("fallback")):
+            report = last_point_error(cohort, primary, fallback)
+            errors, flags, count = _reference_last_point_error(
+                cohort, primary, fallback)
+            assert list(report.errors) == list(errors)
+            assert np.array(list(report.errors.values())).tobytes() == \
+                np.array(list(errors.values())).tobytes()
+            assert report.flags == flags
+            assert report.fallback_count == count
+    # the real predictors, on a gapped cohort with the mean as fallback
+    cohort, _ = simulate_cohort(SimSpec(n_hospitals=40, n_days=12, seed=3))
+    for predictor in (BenchmarkPredictor(BenchmarkKind.LINREG_LOCF),
+                      IncrementPredictor(config=FitConfig(steps=30))):
+        fallback = BenchmarkPredictor(BenchmarkKind.MEAN)
+        report = last_point_error(cohort, predictor, fallback)
+        errors, flags, count = _reference_last_point_error(
+            cohort, predictor, fallback)
+        assert report.errors == errors and report.flags == flags
+        assert report.fallback_count == count
+
+
 # -- sliding windows --------------------------------------------------------
 
 def test_window_enumeration():
@@ -139,6 +215,31 @@ def test_sensitivity_report_structure():
     for row in report.rows:
         assert len(row.diffs) == len(report.windows)
         assert row.q1 <= row.median <= row.q3
+
+
+def test_window_that_scored_nobody_is_nan_and_flagged():
+    # day 6 is unreported by both hospitals, so window 1 (days 1-6) scores
+    # nobody; it used to count as an improvement of exactly 0.0
+    cohort = [make_series([2, 3, 5, 6, 8, None, 9, 11], id="a"),
+              make_series([4, 4, 5, 7, 7, None, 8, 9], id="b")]
+    specs = [SharingSpec()]
+    report = sensitivity_run(cohort, specs, FitConfig(steps=20),
+                             window_length=6)
+    diffs = report.rows[0].diffs
+    assert np.isnan(diffs[0]) and np.isfinite(diffs[1:]).all()
+    assert report.flags == ["window 1: mean scored no hospital, skipped"]
+    # LOCF regression fits the 3 days before the scored one: too few
+    report = sensitivity_run(cohort, specs, FitConfig(steps=20),
+                             baseline=BenchmarkKind.LINREG_LOCF,
+                             window_length=4)
+    assert np.isnan(report.rows[0].diffs).all()
+    assert np.isnan(report.rows[0].median)
+    assert len(report.flags) == len(report.windows)
+
+
+def test_sensitivity_empty_cohort_rejected():
+    with pytest.raises(UsageError, match="cohort must be nonempty"):
+        sensitivity_run([], [SharingSpec()])
 
 
 # -- censor and recover -----------------------------------------------------
@@ -176,8 +277,9 @@ def test_noiseless_cohort_recovered_exactly_by_increment_model():
 def _reference_rebuild(kind, series):
     """An unreported day is the rebuilt day before plus the model's increment."""
     y, r, z = series.y, series.r, series.z
-    mean = predict_mean(series)
-    lr = fit_linreg_locf(series).beta
+    v = locf_impute(y, r)
+    mean = predict_mean(v)
+    b1, b2, b3 = fit_linreg_locf(v[None], z[None])[0][0]
     recon = y.copy()
     for t in range(1, len(y)):
         if r[t]:
@@ -190,7 +292,7 @@ def _reference_rebuild(kind, series):
             prev_inc = recon[t - 1] - recon[t - 2] if t >= 2 else mean
             inc = 0.0 if prev_inc == 0.0 else mean
         else:
-            inc = lr.b1 + lr.b2 * recon[t - 1] + lr.b3 * z[t - 1]
+            inc = b1 + b2 * recon[t - 1] + b3 * z[t - 1]
         recon[t] = recon[t - 1] + inc
     return recon
 
@@ -212,7 +314,7 @@ def test_benchmark_rebuild_matches_reference_loop(kind):
         assert np.array_equal(recon[s.r], s.y[s.r])
     if kind is BenchmarkKind.MODIFIED_MEAN:
         recon = rebuild[0]
-        assert predict_mean(cohort[0]) == 1.0
+        assert predict_mean(locf_impute(cohort[0].y)) == 1.0
         assert list(recon[[1, 4, 5, 8, 9]]) == [5.0, 6.0, 6.0, 13.0, 14.0]
 
 
@@ -230,6 +332,6 @@ def test_increment_predictor_marks_unusable_hospitals():
     cohort = [make_series([2, None, None, 4], id="thin"),
               make_series([2, 3, 4, 5], id="ok")]
     pred = IncrementPredictor(config=FitConfig(steps=50))
-    out = pred.predict_cohort(cohort)
-    assert not out[0].ok  # only one report before the final day
-    assert out[1].ok
+    _, _, ok = pred.predict_cohort(cohort)
+    assert not ok[0]  # only one report before the final day
+    assert ok[1]

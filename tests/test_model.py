@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from gapfit.benchmarks import fit_linreg_locf
 from gapfit.errors import GapfitError, InsufficientDataError, UsageError
-from gapfit.model import (Beta, HospitalSeries, _bridge, bridge_cohort,
-                          expand_gap, loss, predict_last_increment,
+from gapfit.evaluation import IncrementPredictor
+from gapfit.model import (Beta, HospitalSeries, _bridge, expand_gap, loss,
                           predict_trajectory)
+from gapfit.optimizer import FitConfig
 
 from conftest import make_series, random_gapped_series
 
@@ -110,38 +111,43 @@ def test_loss_fully_observed_equals_ols_objective():
 
 # -- predict_trajectory -----------------------------------------------------
 
+def _one_row(s, beta):
+    """(y_tilde, dy_hat) of ``s`` alone, as 1-d arrays."""
+    y_tilde, dy_hat = predict_trajectory(s.y[None], s.r[None], s.z[None],
+                                         [beta.as_array()])
+    return y_tilde[0], dy_hat[0]
+
+
 def test_trajectory_zero_beta_carries_constant():
     s = make_series([5, None, None, None, 7])
-    traj = predict_trajectory(s, Beta())
-    assert traj.y_tilde == [5.0, 5.0, 5.0, 5.0, 7.0]
-    assert traj.dy_hat[1:] == [0.0, 0.0, 0.0, 0.0]
+    y_tilde, dy_hat = _one_row(s, Beta())
+    assert y_tilde.tolist() == [5.0, 5.0, 5.0, 5.0, 7.0]
+    assert dy_hat[1:].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_trajectory_unit_increments():
     s = make_series([2, None, None])
-    traj = predict_trajectory(s, Beta(1.0, 0.0, 0.0))
-    assert traj.y_tilde == [2.0, 3.0, 4.0]
+    y_tilde, _ = _one_row(s, Beta(1.0, 0.0, 0.0))
+    assert y_tilde.tolist() == [2.0, 3.0, 4.0]
 
 
 def test_trajectory_none_before_first_report():
+    # NaN marks the days before the first report, where there is no state
     s = make_series([None, None, 3, 4])
-    traj = predict_trajectory(s, Beta(0.5, 0.1, 0.0))
-    assert traj.y_tilde[0] is None and traj.y_tilde[1] is None
-    assert traj.dy_hat[0] is None and traj.dy_hat[1] is None
-    assert traj.y_tilde[2] == 3.0
+    y_tilde, dy_hat = _one_row(s, Beta(0.5, 0.1, 0.0))
+    assert np.isnan(y_tilde[:2]).all() and np.isnan(dy_hat[:3]).all()
+    assert y_tilde[2] == 3.0
 
 
 def test_trajectory_matches_reports_where_present():
     rng = np.random.Generator(np.random.PCG64(11))
     for _ in range(20):
         s = random_gapped_series(rng)
-        traj = predict_trajectory(s, Beta(*rng.uniform(-0.3, 0.3, 3)))
+        y_tilde, _ = _one_row(s, Beta(*rng.uniform(-0.3, 0.3, 3)))
         for t in range(s.T):
             if s.r[t]:
-                assert traj.y_tilde[t] == s.y[t]
+                assert y_tilde[t] == s.y[t]
 
-
-# -- bridge_cohort ----------------------------------------------------------
 
 def _bridge_rows(cohort, betas, T):
     """Reference: ``_bridge`` one series at a time, NaN-padded to (K, T)."""
@@ -182,7 +188,7 @@ def test_bridge_cohort_matches_per_row_bridge():
             cohort.append(HospitalSeries(k, y, rng.uniform(0.0, 5.0, n)))
         betas = rng.uniform(-0.5, 0.5, (len(cohort), 3))
         betas[0, 1] = 1e3 if trial % 5 == 0 else betas[0, 1]  # overflows
-        got = bridge_cohort(*_padded(cohort, T), betas)
+        got = predict_trajectory(*_padded(cohort, T), betas)
         want = _bridge_rows(cohort, betas, T)
         for g, w in zip(got, want):
             lengths = np.array([s.T for s in cohort])
@@ -192,14 +198,18 @@ def test_bridge_cohort_matches_per_row_bridge():
 
 
 def test_predict_trajectory_is_one_row_of_bridge_cohort():
+    # a row's trajectory does not depend on the other rows of its cohort
     s = make_series([None, 4, None, None, 7, None], z=[1, 2, 3, 1, 2, 3])
+    other = make_series([1, None, 9, None, None, 2], z=[3, 1, 2, 3, 1, 2])
     beta = Beta(0.3, -0.05, 0.2)
-    traj = predict_trajectory(s, beta)
-    y_tilde, dy_hat = bridge_cohort(s.y[None], s.r[None], s.z[None],
-                                    [beta.as_array()])
-    assert traj.y_tilde[0] is None and traj.dy_hat[:2] == [None, None]
-    assert traj.y_tilde[1:] == y_tilde[0, 1:].tolist()
-    assert traj.dy_hat[2:] == dy_hat[0, 2:].tolist()
+    y_tilde, dy_hat = _one_row(s, beta)
+    both = predict_trajectory(np.stack([other.y, s.y]),
+                              np.stack([other.r, s.r]),
+                              np.stack([other.z, s.z]),
+                              [[1.0, 0.5, -2.0], beta.as_array()])
+    assert np.isnan(y_tilde[0]) and np.isnan(dy_hat[:2]).all()
+    assert y_tilde.tobytes() == both[0][1].tobytes()
+    assert dy_hat.tobytes() == both[1][1].tobytes()
 
 
 # -- expand_gap oracle ------------------------------------------------------
@@ -233,26 +243,30 @@ def test_expand_gap_equals_recursion(gap_len, anchor, coefs):
     z = np.linspace(0.5, 2.0, gap_len + 1)
     y = [anchor] + [None] * gap_len + [anchor]
     s = make_series(y, z=np.concatenate([z, [z[-1]]]))
-    traj = predict_trajectory(s, beta)
+    _, dy_hat = _one_row(s, beta)
     # the increment predicted into the final day, after gap_len carried steps
-    assert traj.dy_hat[-1] == pytest.approx(
+    assert dy_hat[-1] == pytest.approx(
         expand_gap(anchor, list(z), beta, gap_len), abs=1e-12, rel=1e-12)
 
 
-# -- predict_last_increment -------------------------------------------------
+# -- the predicted last increment ------------------------------------------
+# The increment into the final day is the last column of the trajectory; the
+# evaluation scores it after fitting on the days before.
 
 def test_predict_last_increment_zero_beta():
-    assert predict_last_increment(make_series([2, 3, 4]), Beta()) == 0.0
+    assert _one_row(make_series([2, 3, 4]), Beta())[1][-1] == 0.0
 
 
 def test_predict_last_increment_intercept_only():
     s = make_series([2, 3, 4, 6])
-    assert predict_last_increment(s, Beta(1.0, 0.0, 0.0)) == 1.0
+    assert _one_row(s, Beta(1.0, 0.0, 0.0))[1][-1] == 1.0
 
 
 def test_predict_last_increment_requires_two_reports_before_T():
-    with pytest.raises(InsufficientDataError):
-        predict_last_increment(make_series([2, None, 4]), Beta())
+    cohort = [make_series([2, None, 4]), make_series([2, 3, 4])]
+    _, _, ok = IncrementPredictor(config=FitConfig(steps=5)).predict_cohort(
+        cohort)
+    assert ok.tolist() == [False, True]
 
 
 def test_predict_last_increment_consistent_with_trajectory():
@@ -262,9 +276,8 @@ def test_predict_last_increment_consistent_with_trajectory():
         if s.window(1, s.T - 1).n_reports < 2:
             continue
         beta = Beta(*rng.uniform(-0.3, 0.3, 3))
-        inc = predict_last_increment(s, beta)
-        traj = predict_trajectory(s.window(1, s.T - 1), beta)
-        prev = traj.y_tilde[-1]
+        inc = _one_row(s, beta)[1][-1]
+        prev = _one_row(s.window(1, s.T - 1), beta)[0][-1]
         assert inc == pytest.approx(
             beta.b1 + beta.b2 * prev + beta.b3 * s.z[s.T - 2], rel=1e-12)
 
@@ -277,7 +290,7 @@ def test_loss_vs_linreg_same_objective_fully_observed():
     y = rng.uniform(2, 25, T)
     z = rng.uniform(0, 5, T)
     s = HospitalSeries("x", y, z)
-    fitres = fit_linreg_locf(s)
+    coefs = fit_linreg_locf(y[None], z[None])[0][0]
     X = np.column_stack([np.ones(T - 1), y[:-1], z[:-1]])
-    resid = X @ fitres.beta.as_array() - np.diff(y)
-    assert loss(s, fitres.beta) == pytest.approx(np.mean(resid ** 2), abs=1e-12)
+    resid = X @ coefs - np.diff(y)
+    assert loss(s, coefs) == pytest.approx(np.mean(resid ** 2), abs=1e-12)

@@ -6,10 +6,10 @@ from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, HospitalSeries, loss
-from gapfit.optimizer import (FitConfig, _Residuals, _loss_grad_batch,
-                              _loss_grad_tape, detect_divergence, fit,
-                              fit_cohort, jacobi_etas, l2_penalty,
-                              warm_start_inits)
+from gapfit.optimizer import (FitConfig, _batch_arrays, _Residuals,
+                              _loss_grad_batch, _loss_grad_tape,
+                              detect_divergence, fit, fit_cohort, jacobi_etas,
+                              l2_penalty, warm_start_inits)
 
 from conftest import make_series, random_gapped_series
 
@@ -264,9 +264,9 @@ def test_warm_start_inits_match_locf_ols():
     rng = np.random.Generator(np.random.PCG64(83))
     cohort = [random_gapped_series(rng, T=20, id=f"i{i}") for i in range(4)]
     config = FitConfig(incidence_scale=1.0)
-    inits = warm_start_inits(cohort, config)
+    inits = warm_start_inits(*_batch_arrays(cohort), config)
     for k, s in enumerate(cohort):
-        expected = fit_linreg_locf(s).beta.as_array()
+        expected = fit_linreg_locf(locf_impute(s.y)[None], s.z[None])[0][0]
         assert inits[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -282,24 +282,26 @@ def test_jacobi_etas_and_warm_starts_match_per_series_loops():
         x = np.column_stack([np.ones(s.T - 1), y[:-1], z[:-1]])
         h = 2.0 * np.einsum("ij,ij->j", x, x) / (s.T - 1)
         etas[k] = config.eta_safety / np.maximum(h, 1e-12)
-        inits[k] = fit_linreg_locf(
-            s.with_scaled_z(config.incidence_scale)).beta.as_array()
-    np.testing.assert_array_equal(jacobi_etas(cohort, config), etas)
-    np.testing.assert_array_equal(warm_start_inits(cohort, config), inits)
+        inits[k] = fit_linreg_locf(y[None], z[None])[0][0]
+    y, r, z = _batch_arrays(cohort)
+    z = z * config.incidence_scale
+    np.testing.assert_array_equal(jacobi_etas(y, r, z, config), etas)
+    np.testing.assert_array_equal(warm_start_inits(y, r, z, config), inits)
     # too short for the regression: every row starts at config.init
-    short = [s.window(1, 3) for s in cohort[:4]]
     config = FitConfig(init=Beta(0.1, -0.2, 0.3))
-    np.testing.assert_array_equal(warm_start_inits(short, config),
-                                  np.tile([0.1, -0.2, 0.3], (4, 1)))
+    np.testing.assert_array_equal(
+        warm_start_inits(y[:4, :3], r[:4, :3], z[:4, :3], config),
+        np.tile([0.1, -0.2, 0.3], (4, 1)))
 
 
 def test_jacobi_etas_shape_and_positivity():
     rng = np.random.Generator(np.random.PCG64(91))
     cohort = [random_gapped_series(rng, T=20, id=f"j{i}") for i in range(5)]
-    etas = jacobi_etas(cohort, FitConfig(eta_safety=0.2))
+    arrays = _batch_arrays(cohort)
+    etas = jacobi_etas(*arrays, FitConfig(eta_safety=0.2))
     assert etas.shape == (5, 3)
     assert np.all(etas > 0)
-    half = jacobi_etas(cohort, FitConfig(eta_safety=0.1))
+    half = jacobi_etas(*arrays, FitConfig(eta_safety=0.1))
     assert half == pytest.approx(etas / 2, rel=1e-15)
     with pytest.raises(UsageError):
         FitConfig(eta_safety=0.0)

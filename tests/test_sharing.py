@@ -121,10 +121,10 @@ def test_shared_dimension_steps_with_the_smallest_step_size():
     config = FitConfig(steps=1, auto_eta=True)
     joint = fit_shared(cohort, SharingSpec(frozenset({2})), config,
                        record_history=True)
-    etas = jacobi_etas(cohort, config)
+    y, r, z = _batch_arrays(cohort)
+    z = z * config.incidence_scale
+    etas = jacobi_etas(y, r, z, config)
     assert np.ptp(etas[:, 1]) > 0
-    y, r, z = _batch_arrays([s.with_scaled_z(config.incidence_scale)
-                             for s in cohort])
     _, grad = _loss_grad_batch(_Residuals(y, r, z), np.zeros((4, 3)), 0.0)
     expected = np.mean(-etas[:, 1].min() * grad[:, 1])
     assert joint.history[0][:, 1] == pytest.approx(expected, rel=1e-12)
