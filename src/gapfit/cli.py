@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__, autodiff
 from .benchmarks import BenchmarkKind
-from .datagen import (MissingnessSpec, SimSpec, _parse_count, load_cohort,
-                      save_cohort, simulate_cohort)
+from .datagen import (MissingnessSpec, SimSpec, _codes, _CsvColumns, _is_count,
+                      _parse_cells, _parse_count, load_cohort, save_cohort,
+                      simulate_cohort)
 from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
@@ -324,36 +325,76 @@ def cmd_gradcheck(args):
 
 
 def _load_params(path):
-    betas = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            if not row.get("b1"):
-                continue
-            try:
-                hid = row["hospital_id"]
-                coefs = [float(row[c]) for c in ("b1", "b2", "b3")]
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(f"{path}:{lineno}: bad parameter row",
-                                 line=lineno) from None
-            if not np.isfinite(coefs).all():
-                raise ParseError(f"{path}:{lineno}: non-finite coefficient",
-                                 line=lineno)
-            betas[hid] = Beta(*coefs)
-    return betas
+    """Coefficients per hospital id from a ``params.csv``; a row with an
+    empty ``b1`` (a hospital without a usable fit) is skipped."""
+    ids = {}  # hospital id -> index, in order of first appearance
+
+    def convert(start, columns):
+        hid, *cells = columns
+        used = np.fromiter(map(bool, cells[0]), bool, len(hid))
+        coefs = np.column_stack([_parse_cells(float, c, np.nan)[0]
+                                 for c in cells])
+        # a skipped row keys on its own position (< 0), so it repeats no row
+        hosp = -1 - np.arange(start, start + len(hid))
+        hosp[used] = _codes([h for h, u in zip(hid, used.tolist()) if u], ids)
+        bad = used & (~np.isfinite(coefs).all(axis=1) | (not keyed))
+        return (hosp,), (coefs,), bad
+
+    def check(line, cells, repeated):
+        hid, *cells = cells
+        try:
+            if not keyed:
+                raise KeyError("hospital_id")
+            coefs = [float(c) for c in cells]
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{path}:{line}: bad parameter row",
+                             line=line) from None
+        if not np.isfinite(coefs).all():
+            raise ParseError(f"{path}:{line}: non-finite coefficient",
+                             line=line)
+        if repeated:
+            raise ParseError(
+                f"{path}:{line}: duplicate parameters for {hid!r}", line=line)
+
+    with _CsvColumns(path, ["hospital_id", "b1", "b2", "b3"]) as table:
+        keyed = table.header is not None and "hospital_id" in table.header
+        _, (hosp,), (coefs,) = table.read(convert, check)
+    return {hid: Beta(*c) for hid, c in zip(ids, coefs[hosp >= 0].tolist())}
 
 
 def _load_future_z(path, incidence_column):
+    """Incidence per hospital id and day from a ``--future-z`` file."""
+    names = ["hospital_id", "day", incidence_column]
+    ids = {}  # hospital id -> index, in order of first appearance
+
+    def convert(start, columns):
+        hid, day, cells = columns
+        day, bad = _parse_cells(int, day, 0)
+        z = _parse_cells(float, cells, np.nan)[0]
+        bad |= ~_is_count(z) | (not keyed)
+        return (_codes(hid, ids), day), (z,), bad
+
+    def check(line, cells, repeated):
+        hid, day, cell = cells
+        try:
+            if not keyed:
+                raise KeyError(names)
+            day = int(day)
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{path}:{line}: bad future-z row",
+                             line=line) from None
+        _parse_count(cell, "incidence", path, line)
+        if repeated:
+            raise ParseError(f"{path}:{line}: duplicate day {day} for {hid!r}",
+                             line=line)
+
+    with _CsvColumns(path, names) as table:
+        keyed = table.header is not None and set(names) <= set(table.header)
+        _, (hosp, day), (z,) = table.read(convert, check)
+    hids = list(ids)
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                hid, day, cell = (row["hospital_id"], int(row["day"]),
-                                  row[incidence_column])
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(f"{path}:{lineno}: bad future-z row",
-                                 line=lineno) from None
-            out.setdefault(hid, {})[day] = _parse_count(
-                cell, "incidence", path, lineno)
+    for h, d, value in zip(hosp.tolist(), day.tolist(), z.tolist()):
+        out.setdefault(hids[h], {})[d] = value
     return out
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -225,30 +228,193 @@ def simulate_cohort(spec):
 def save_cohort(cohort, path, truth=None, truth_path=None):
     """Write a cohort in the long CSV schema; optionally a truth sidecar.
 
-    Floats are serialized at full round-trip precision.
+    Floats are serialized at full round-trip precision.  Both files are
+    written in one pass, so each hospital's cells are formatted once.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    if truth is not None and truth_path is None:
+        raise UsageError("truth_path required when truth is given")
+    with ExitStack() as files:
+        writer = csv.writer(files.enter_context(
+            open(path, "w", newline="", encoding="utf-8")))
         writer.writerow(["hospital_id", "day", "cases", "incidence"])
-        for s in cohort:
-            for t in range(s.T):
-                cases = repr(float(s.y[t])) if s.r[t] else ""
-                writer.writerow([s.id, t + 1, cases, repr(float(s.z[t]))])
-    if truth is not None:
-        if truth_path is None:
-            raise UsageError("truth_path required when truth is given")
-        with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hospital_id", "day", "cases", "incidence",
-                             "true_b1", "true_b2", "true_b3", "true_cases"])
-            for s, beta, traj in zip(cohort, truth.betas, truth.trajectories):
-                for t in range(s.T):
-                    cases = repr(float(s.y[t])) if s.r[t] else ""
-                    writer.writerow([
-                        s.id, t + 1, cases, repr(float(s.z[t])),
-                        repr(beta.b1), repr(beta.b2), repr(beta.b3),
-                        repr(float(traj[t])),
-                    ])
+        if truth is not None:
+            sidecar = csv.writer(files.enter_context(
+                open(truth_path, "w", newline="", encoding="utf-8")))
+            sidecar.writerow(["hospital_id", "day", "cases", "incidence",
+                              "true_b1", "true_b2", "true_b3", "true_cases"])
+        for k, s in enumerate(cohort):
+            days = range(1, s.T + 1)
+            cases = [repr(v) if rep else ""
+                     for v, rep in zip(s.y.tolist(), s.r.tolist())]
+            z = list(map(repr, s.z.tolist()))
+            writer.writerows(zip(repeat(s.id), days, cases, z))
+            if truth is not None:
+                beta = truth.betas[k]
+                coefs = (repr(beta.b1), repr(beta.b2), repr(beta.b3))
+                sidecar.writerows(zip(
+                    repeat(s.id), days, cases, z, *map(repeat, coefs),
+                    map(repr, map(float, truth.trajectories[k]))))
+
+
+# Records per chunk of :class:`_CsvColumns`: a reader holds one chunk of cells
+# as strings at a time, whatever the size of the file.
+_CHUNK_ROWS = 4096
+
+
+class _CsvColumns:
+    """A UTF-8 CSV file read as chunks of named columns.
+
+    Use as a context manager.  ``header`` is the file's first row (None for
+    an empty file); :meth:`read` converts and checks every record after it.
+    As in :class:`csv.DictReader`, a name's cells come from the last header
+    column of that name, a cell past the end of a short row, or of a name
+    the header lacks, is None, and blank lines are not records.  Bytes that
+    are not UTF-8 and fields over csv's size limit raise :class:`ParseError`.
+    """
+
+    def __init__(self, path, names):
+        self.path = path
+        self._fh = open(path, newline="", encoding="utf-8")
+        self._reader = csv.reader(self._fh)
+        self._error = None  # a failed read, raised once the rows before it pass
+        try:
+            self.header = next(self._reader, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            self._fh.close()
+            raise self._parse_error(exc) from None
+        where = {name: i for i, name in enumerate(self.header or ())}
+        self._columns = [where.get(name) for name in names]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def _parse_error(self, exc):
+        if isinstance(exc, UnicodeDecodeError):
+            return ParseError(f"{self.path}: not UTF-8 text ({exc.reason})")
+        line = self._reader.line_num
+        return ParseError(f"{self.path}:{line}: {exc}", line=line)
+
+    def read(self, convert, check):
+        """Convert and check every record; returns ``(order, keys, values)``.
+
+        ``convert(start, columns)`` turns one chunk of columns, whose first
+        record is record ``start``, into ``(keys, values, bad)``: tuples of
+        arrays over its records and a mask of the records with a faulty
+        cell.  A record whose keys all equal an earlier record's is faulty
+        too.  The first faulty record in file order raises its error through
+        ``check(line, cells, repeated)``, which runs a row-by-row reader's
+        checks on that record's raw cells.  The chunks' arrays come back
+        joined, with ``order`` sorting the records stably by their keys.
+        """
+        chunks = []
+        for start, columns in self._chunks():
+            keys, values, bad = convert(start, columns)
+            if bad.any():
+                first = int(np.argmax(bad))
+                before = [k for k, _ in chunks] + [[k[:first] for k in keys]]
+                repeat = _sort(*map(np.concatenate, zip(*before)))[1]
+                self._fault(check, start + first if repeat is None else repeat,
+                            repeat is not None)
+            chunks.append((keys, values))
+        keys, values = ([np.concatenate(arrays) for arrays in zip(*part)]
+                        for part in zip(*chunks))
+        order, repeat = _sort(*keys)
+        if repeat is not None:
+            self._fault(check, repeat, True)
+        if self._error is not None:
+            raise self._error
+        return order, keys, values
+
+    def _chunks(self):
+        """``(start, columns)`` per chunk of up to ``_CHUNK_ROWS`` records,
+        at least one chunk, with ``columns`` one tuple of cells per name.  A
+        read that fails ends the chunks and is kept in ``_error``."""
+        width = max((i + 1 for i in self._columns if i is not None), default=1)
+        start = 0
+        full = True
+        while full and self._error is None:
+            rows = []
+            try:
+                # extend keeps the rows read before a failing one
+                rows.extend(islice(self._reader, _CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                self._error = self._parse_error(exc)
+            full = len(rows) == _CHUNK_ROWS
+            if rows and min(map(len, rows)) < width:
+                rows = [r + [None] * (width - len(r)) if len(r) < width else r
+                        for r in rows if r]
+            if rows or start == 0:
+                yield start, [tuple(map(itemgetter(i), rows)) if i is not None
+                              else (None,) * len(rows) for i in self._columns]
+                start += len(rows)
+
+    def _fault(self, check, record, repeated):
+        """Raise the error of data record ``record``, reading the file again
+        for its physical line (csv's ``line_num``) and its raw cells."""
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            row = next(islice(filter(None, reader), record, None))
+            cells = [row[i] if i is not None and i < len(row) else None
+                     for i in self._columns]
+            check(reader.line_num, cells, repeated)
+
+
+def _codes(cells, index):
+    """An integer per cell from ``index`` (value -> code), which numbers new
+    values in order of first appearance."""
+    for value in dict.fromkeys(cells):
+        index.setdefault(value, len(index))
+    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+
+
+def _parse_cells(kind, cells, fill):
+    """``kind()`` of each cell as an array, ``fill`` where it raises, and a
+    mask of those cells.  Integers beyond int64 give an object array, so
+    that they still compare exactly."""
+    bad = np.zeros(len(cells), bool)
+    try:
+        values = list(map(kind, cells))
+    except (TypeError, ValueError):
+        values = []
+        for i, cell in enumerate(cells):
+            try:
+                values.append(kind(cell))
+            except (TypeError, ValueError):
+                values.append(fill)
+                bad[i] = True
+    try:
+        return np.fromiter(values, type(fill), len(values)), bad
+    except OverflowError:
+        return np.array(values, dtype=object), bad
+
+
+def _stripped(cells):
+    """Cells without surrounding whitespace; a missing cell (None) is empty."""
+    try:
+        return list(map(str.strip, cells))
+    except TypeError:
+        return [(cell or "").strip() for cell in cells]
+
+
+def _is_count(values):
+    """Mask of the values :func:`_parse_count` accepts."""
+    return np.isfinite(values) & (values >= 0)
+
+
+def _sort(*keys):
+    """Stable order of records by ``keys``, and the first record in file
+    order whose keys all equal an earlier record's (None if none does)."""
+    order = np.lexsort(keys[::-1])
+    same = np.ones(max(len(order) - 1, 0), bool)
+    for key in keys:
+        key = key[order]
+        same &= key[1:] == key[:-1]
+    repeats = order[1:][same]
+    return order, (int(repeats.min()) if repeats.size else None)
 
 
 def _parse_count(cell, what, path, lineno):
@@ -275,54 +441,67 @@ def load_cohort(path, incidence_column="incidence"):
     Empty ``cases`` cells mean "not reported".  Hospitals with fewer than 2
     reports are excluded with a warning; malformed rows, including non-finite
     or negative counts and a repeated (hospital_id, day), raise
-    :class:`ParseError` with the offending line number.
+    :class:`ParseError` with the offending physical line number.
     """
-    rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "hospital_id" not in reader.fieldnames:
+    ids = {}  # hospital id -> index, in order of first appearance
+
+    def convert(start, columns):
+        hid, day, cases, inc = columns
+        day, bad = _parse_cells(int, day, 0)
+        cases = _stripped(cases)
+        reported = np.fromiter(map(bool, cases), bool, len(cases))
+        y = np.full(len(cases), np.nan)
+        y[reported] = _parse_cells(float, list(filter(None, cases)), np.nan)[0]
+        z = _parse_cells(float, _stripped(inc), np.nan)[0]
+        bad |= (day < 1) | (reported & ~_is_count(y)) | ~_is_count(z)
+        return (_codes(hid, ids), day), (y, z), bad
+
+    def check(line, cells, repeated):
+        hid, day, cases, inc = cells
+        try:
+            day = int(day)
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}:{line}: bad day {day!r}",
+                             line=line) from None
+        if day < 1:
+            raise ParseError(f"{path}:{line}: day must be >= 1", line=line)
+        cases = (cases or "").strip()
+        if cases:
+            _parse_count(cases, "cases", path, line)
+        inc = (inc or "").strip()
+        if not inc:
+            raise ParseError(
+                f"{path}:{line}: missing incidence (z must be complete)",
+                line=line)
+        _parse_count(inc, "incidence", path, line)
+        if repeated:
+            raise ParseError(f"{path}:{line}: duplicate day {day} for {hid!r}",
+                             line=line)
+
+    required = ["hospital_id", "day", "cases", incidence_column]
+    with _CsvColumns(path, required) as table:
+        if table.header is None or "hospital_id" not in table.header:
             raise ParseError(f"{path}: missing header", line=1)
-        required = {"hospital_id", "day", "cases", incidence_column}
-        missing_cols = required - set(reader.fieldnames)
+        missing_cols = set(required) - set(table.header)
         if missing_cols:
             raise ParseError(
                 f"{path}: missing columns {sorted(missing_cols)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            hid = row["hospital_id"]
-            try:
-                day = int(row["day"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}:{lineno}: bad day {row['day']!r}",
-                                 line=lineno) from None
-            if day < 1:
-                raise ParseError(f"{path}:{lineno}: day must be >= 1",
-                                 line=lineno)
-            cases_cell = (row["cases"] or "").strip()
-            cases = (np.nan if cases_cell == "" else
-                     _parse_count(cases_cell, "cases", path, lineno))
-            inc_cell = (row[incidence_column] or "").strip()
-            if inc_cell == "":
-                raise ParseError(
-                    f"{path}:{lineno}: missing incidence (z must be complete)",
-                    line=lineno)
-            inc = _parse_count(inc_cell, "incidence", path, lineno)
-            days = rows.setdefault(hid, {})
-            if day in days:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate day {day} for {hid!r}",
-                    line=lineno)
-            days[day] = (cases, inc)
+        order, (hosp, day), (y, z) = table.read(convert, check)
+    hosp, day, y, z = hosp[order], day[order], y[order], z[order]
+    counts = np.bincount(hosp, minlength=len(ids))
+    stops = np.cumsum(counts)
+    # days are distinct and >= 1, so they are 1..n exactly when the last is n
+    broken = np.flatnonzero(day[stops - 1] != counts)
+    if broken.size:
+        hid = list(ids)[broken[0]]
+        raise ParseError(f"{path}: hospital {hid!r} has non-contiguous days")
+    reports = np.bincount(hosp[np.isfinite(y)], minlength=len(ids))
     cohort = []
     warnings = []
-    for hid in rows:
-        days = sorted(rows[hid])
-        if days != list(range(1, len(days) + 1)):
-            raise ParseError(f"{path}: hospital {hid!r} has non-contiguous days")
-        y = np.array([rows[hid][d][0] for d in days])
-        z = np.array([rows[hid][d][1] for d in days])
-        n_reports = int(np.isfinite(y).sum())
-        if len(y) < 2 or n_reports < 2:
+    for hid, stop, n, n_reports in zip(ids, stops.tolist(), counts.tolist(),
+                                       reports.tolist()):
+        if n < 2 or n_reports < 2:
             warnings.append(f"{hid}: fewer than 2 reports, excluded")
             continue
-        cohort.append(HospitalSeries(hid, y, z))
+        cohort.append(HospitalSeries(hid, y[stop - n:stop], z[stop - n:stop]))
     return cohort, warnings

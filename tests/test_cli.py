@@ -249,31 +249,90 @@ BAD_CELLS = [
     ("future", 0, "incidence", "nan"),
     ("future", 1, "incidence", "-2.5"),
     ("future", 1, "incidence", "inf"),
+    ("future", 2, "day", "6"),  # duplicates the (a, 6) row above it
     ("params", 0, "b1", "nan"),
     ("params", 0, "b1", "inf"),
+    ("params", 1, "hospital_id", "a"),  # a second row for hospital a
 ]
+
+
+def _predict_tables():
+    """A valid cohort, future-z and params file for one ``predict`` run."""
+    return {
+        "cohort": [{"hospital_id": "a", "day": d, "cases": c, "incidence": 1.0}
+                   for d, c in enumerate([2.0, 3.0, 3.0, 4.0], start=1)],
+        "future": [{"hospital_id": "a", "day": d, "incidence": 2.0}
+                   for d in (5, 6, 7)],
+        "params": [{"hospital_id": h, "b1": 0.1, "b2": -0.01, "b3": 0.2}
+                   for h in ("a", "b")],
+    }
+
+
+def _predict(tmp_path):
+    return _run("predict", "--input", str(tmp_path / "cohort.csv"),
+                "--output-dir", str(tmp_path / "out"),
+                "--params", str(tmp_path / "params.csv"), "--horizon", "3",
+                "--future-z", str(tmp_path / "future.csv"))
+
+
+def _write_tables(tmp_path, tables):
+    for name, rows in tables.items():
+        _write(tmp_path / f"{name}.csv", list(rows[0]),
+               [list(r.values()) for r in rows])
 
 
 @pytest.mark.parametrize("target, index, column, cell", BAD_CELLS)
 def test_bad_input_cell_exits_1_with_line(tmp_path, capsys, target, index,
                                           column, cell):
-    tables = {
-        "cohort": [{"hospital_id": "a", "day": d, "cases": c, "incidence": 1.0}
-                   for d, c in enumerate([2.0, 3.0, 3.0, 4.0], start=1)],
-        "future": [{"hospital_id": "a", "day": d, "incidence": 2.0}
-                   for d in (5, 6, 7)],
-        "params": [{"hospital_id": "a", "b1": 0.1, "b2": -0.01, "b3": 0.2}],
-    }
+    tables = _predict_tables()
     tables[target][index][column] = cell
-    for name, rows in tables.items():
-        _write(tmp_path / f"{name}.csv", list(rows[0]),
-               [list(r.values()) for r in rows])
-    rc = _run("predict", "--input", str(tmp_path / "cohort.csv"),
-              "--output-dir", str(tmp_path / "out"),
-              "--params", str(tmp_path / "params.csv"), "--horizon", "3",
-              "--future-z", str(tmp_path / "future.csv"))
-    assert rc == 1
+    _write_tables(tmp_path, tables)
+    assert _predict(tmp_path) == 1
     assert f"{target}.csv:{index + 2}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A bad cell after a blank line or a quoted field that spans two lines:
+# (file, its text, the physical line of the bad cell).
+SHIFTED_LINES = [
+    ("cohort", "hospital_id,day,cases,incidence\na,1,3.0,1.0\n\n"
+               "a,2,x,1.0\n", 4),
+    ("cohort", 'hospital_id,day,cases,incidence\n"a\nb",1,3.0,1.0\n'
+               "a,1,x,1.0\n", 4),
+    ("params", "hospital_id,b1,b2,b3\n\na,nan,0.0,0.0\n", 3),
+    ("future", "hospital_id,day,incidence\na,5,1.0\n\n\na,6,-1\n", 5),
+]
+
+
+@pytest.mark.parametrize("target, text, line", SHIFTED_LINES,
+                         ids=["cohort-blank-line", "cohort-two-line-id",
+                              "params-blank-line", "future-blank-lines"])
+def test_bad_cell_reports_its_physical_line(tmp_path, capsys, target, text,
+                                            line):
+    _write_tables(tmp_path, _predict_tables())
+    (tmp_path / f"{target}.csv").write_text(text, encoding="utf-8")
+    assert _predict(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"{target}.csv:{line}:" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "oversized_field"])
+@pytest.mark.parametrize("target", ["cohort", "params", "future"])
+def test_bad_bytes_exit_1_naming_the_file(tmp_path, capsys, target, kind):
+    _write_tables(tmp_path, _predict_tables())
+    path = tmp_path / f"{target}.csv"
+    line = len(path.read_bytes().splitlines()) + 1
+    cell = b"\xff" if kind == "not_utf8" else b"9" * 200_000
+    with open(path, "ab") as fh:
+        fh.write(b"a,9," + cell + b",1.0\n")
+    assert _predict(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}")
+    if kind == "not_utf8":
+        assert "not UTF-8" in err
+    else:
+        assert f"{path}:{line}: field larger than field limit" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,14 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from gapfit import datagen
 from gapfit.datagen import (MissingnessSpec, SeirParams, SeirState, SimSpec,
-                            load_cohort, missingness_mask, save_cohort,
-                            simulate_cohort, simulate_seir)
+                            _parse_count, load_cohort, missingness_mask,
+                            save_cohort, simulate_cohort, simulate_seir)
 from gapfit.errors import ParseError, UsageError
 from gapfit.model import HospitalSeries, loss
 from gapfit.optimizer import FitConfig, fit_cohort
@@ -230,3 +234,165 @@ def test_load_alternative_incidence_column(tmp_path):
                  "h0,1,3,2.0,1.0\nh0,2,4,2.0,1.0\n")
     cohort, _ = load_cohort(p, incidence_column="incidence_low")
     assert cohort[0].z[0] == 1.0
+
+
+# -- the streamed reader against the row-by-row one -------------------------
+
+def _reference_load(path, incidence_column="incidence"):
+    """The row-by-row reader that load_cohort replaced, kept as its oracle.
+
+    Its one change: a line number is csv's physical line, where the old loop
+    counted records and so drifted after a blank line or a quoted line break.
+    """
+    rows = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "hospital_id" not in reader.fieldnames:
+            raise ParseError(f"{path}: missing header", line=1)
+        required = {"hospital_id", "day", "cases", incidence_column}
+        missing_cols = required - set(reader.fieldnames)
+        if missing_cols:
+            raise ParseError(
+                f"{path}: missing columns {sorted(missing_cols)}", line=1)
+        for row in reader:
+            lineno = reader.reader.line_num
+            hid = row["hospital_id"]
+            try:
+                day = int(row["day"])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}:{lineno}: bad day {row['day']!r}",
+                                 line=lineno) from None
+            if day < 1:
+                raise ParseError(f"{path}:{lineno}: day must be >= 1",
+                                 line=lineno)
+            cases_cell = (row["cases"] or "").strip()
+            cases = (np.nan if cases_cell == "" else
+                     _parse_count(cases_cell, "cases", path, lineno))
+            inc_cell = (row[incidence_column] or "").strip()
+            if inc_cell == "":
+                raise ParseError(
+                    f"{path}:{lineno}: missing incidence (z must be complete)",
+                    line=lineno)
+            inc = _parse_count(inc_cell, "incidence", path, lineno)
+            days = rows.setdefault(hid, {})
+            if day in days:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate day {day} for {hid!r}",
+                    line=lineno)
+            days[day] = (cases, inc)
+    cohort = []
+    warnings = []
+    for hid in rows:
+        days = sorted(rows[hid])
+        if days != list(range(1, len(days) + 1)):
+            raise ParseError(f"{path}: hospital {hid!r} has non-contiguous days")
+        y = np.array([rows[hid][d][0] for d in days])
+        z = np.array([rows[hid][d][1] for d in days])
+        n_reports = int(np.isfinite(y).sum())
+        if len(y) < 2 or n_reports < 2:
+            warnings.append(f"{hid}: fewer than 2 reports, excluded")
+            continue
+        cohort.append(HospitalSeries(hid, y, z))
+    return cohort, warnings
+
+
+_HEADER = "hospital_id,day,cases,incidence\n"
+# Headers with reordered, extra, repeated (the last one counts) and missing
+# columns.
+_HEADERS = [
+    ["hospital_id", "day", "cases", "incidence"],
+    ["day", "incidence", "note", "hospital_id", "cases"],
+    ["hospital_id", "day", "cases", "incidence", "cases"],
+    ["hospital_id", "day", "day", "cases", "incidence"],
+    ["day", "cases", "incidence", "hospital_id", "hospital_id"],
+    ["hospital_id", "day", "cases"],
+]
+_GARBAGE = st.one_of(
+    st.sampled_from(["", " ", "1_0", " 3 ", "nan", "-0.0", "1e400", "-1", "0",
+                     "\x00", "\u0663", "+2", "\u2003", "\x1c3", "-inf",
+                     "5e-324", "99999999999999999999", "-99999999999999999999",
+                     "x"]),
+    st.text(max_size=3))
+_MUTATIONS = ["garbage"] * 4 + ["garbled", "short", "long", "blank", "repeat",
+                                 "drop"]
+
+
+@st.composite
+def _cohort_texts(draw):
+    """A cohort CSV: valid rows, then shuffled, cut short, lengthened, blank
+    lines put in, rows repeated or dropped, and garbage put in any cell or
+    in a whole row."""
+    header = draw(st.sampled_from(_HEADERS))
+    ids = draw(st.lists(st.sampled_from(["a", "b", "", " c ", "None", "a\nb",
+                                         "\u00e9"]),
+                        min_size=1, max_size=3, unique=True))
+    n_days = draw(st.integers(1, 5))
+    records = []
+    for hid in ids:
+        for day in range(1, n_days + 1):
+            cells = {"hospital_id": hid, "day": str(day),
+                     "cases": draw(st.sampled_from(["", "0", "2.5"])
+                                   | _counts.map(repr)),
+                     "incidence": draw(_counts.map(repr))}
+            # a repeated name's earlier columns carry garbage
+            records.append([cells[name] if name in cells
+                            and name not in header[i + 1:]
+                            else draw(_GARBAGE)
+                            for i, name in enumerate(header)])
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=5)):
+        if not records:
+            break
+        i = draw(st.integers(0, len(records) - 1))
+        row = list(records[i])
+        if not row and kind in ("garbage", "short"):
+            continue
+        if kind == "garbage":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_GARBAGE)
+        elif kind == "garbled":  # several bad cells: the first check fires
+            row = [draw(_GARBAGE) for _ in row]
+        elif kind == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif kind == "long":
+            row.append(draw(_GARBAGE))
+        elif kind == "blank":
+            row = []
+        elif kind == "repeat":
+            records.insert(i, records[draw(st.integers(0, len(records) - 1))])
+        elif kind == "drop":
+            del records[i]
+            continue
+        records[i] = row
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n",
+                                                                  "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(records)
+    return out.getvalue()
+
+
+def _outcome(load, path):
+    try:
+        cohort, warnings = load(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return [(s.id, s.y.tobytes(), s.z.tobytes()) for s in cohort], warnings
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cohort_texts(), st.sampled_from([1, 2, 3, 7, 4096]))
+# a repeated row before a bad cell, in another chunk and in the same one
+@example(text=_HEADER + "a,1,1.0,1.0\na,1,2.0,1.0\na,2,x,1.0\n", chunk=2)
+@example(text=_HEADER + "a,1,1.0,1.0\na,1,2.0,1.0\na,2,x,1.0\n", chunk=7)
+# two bad cells in one row: the cases check comes first
+@example(text=_HEADER + "a,1,-1,nan\n", chunk=7)
+def test_load_cohort_matches_row_by_row_reader(tmp_path, monkeypatch, text,
+                                               chunk):
+    # small chunks put chunk boundaries between any two records
+    monkeypatch.setattr(datagen, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "cohort.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _outcome(load_cohort, path) == _outcome(_reference_load, path)

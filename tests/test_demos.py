@@ -1,10 +1,14 @@
-"""Every demo runs to completion as a script.
+"""Every demo runs to completion as a script, and the README's library tour
+runs as written.
 
 Demos 04 and 05 run the full sensitivity and censor studies and take the
 longest, about 15 s and 10 s on a 2-core machine.
 """
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +31,13 @@ def test_demo_runs(name):
                           env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_fit_converges():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(tour, "README.md", "exec"), namespace)
+    assert namespace["result"].converged
+    assert out.getvalue().startswith("True ")
