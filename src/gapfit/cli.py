@@ -473,13 +473,33 @@ _HANDLERS = {
 }
 
 
+class _ManifestArgs(dict):
+    """A manifest's arguments; a key the command needs but the manifest
+    lacks is a usage error naming it."""
+
+    def __init__(self, path, args):
+        super().__init__(args)
+        self.path = path
+
+    def __missing__(self, key):
+        raise UsageError(f"{self.path}: manifest args lack {key!r}")
+
+
 def cmd_rerun(args):
-    with open(args["manifest"], encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    path = args["manifest"]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"{path}: unreadable manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
     command = manifest.get("command")
     if command not in _HANDLERS:
         raise UsageError(f"manifest has unknown command {command!r}")
-    run_args = dict(manifest["args"])
+    if not isinstance(manifest.get("args"), dict):
+        raise ParseError(f'{path}: manifest has no "args" object')
+    run_args = _ManifestArgs(path, manifest["args"])
     if args.get("output_dir"):
         run_args["output_dir"] = args["output_dir"]
     return _dispatch(_HANDLERS[command], run_args)

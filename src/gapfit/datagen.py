@@ -439,8 +439,9 @@ def load_cohort(path, incidence_column="incidence"):
     """Parse a cohort CSV; returns (cohort, warnings).
 
     Empty ``cases`` cells mean "not reported".  Hospitals with fewer than 2
-    reports are excluded with a warning; malformed rows, including non-finite
-    or negative counts and a repeated (hospital_id, day), raise
+    reports are excluded with a warning; malformed rows, including a missing
+    or empty hospital_id, non-finite or negative counts and a repeated
+    (hospital_id, day), raise
     :class:`ParseError` with the offending physical line number.
     """
     ids = {}  # hospital id -> index, in order of first appearance
@@ -453,11 +454,16 @@ def load_cohort(path, incidence_column="incidence"):
         y = np.full(len(cases), np.nan)
         y[reported] = _parse_cells(float, list(filter(None, cases)), np.nan)[0]
         z = _parse_cells(float, _stripped(inc), np.nan)[0]
-        bad |= (day < 1) | (reported & ~_is_count(y)) | ~_is_count(z)
-        return (_codes(hid, ids), day), (y, z), bad
+        hosp = _codes(hid, ids)
+        unnamed = [code for h, code in ids.items() if not h]
+        bad |= (np.isin(hosp, unnamed) | (day < 1)
+                | (reported & ~_is_count(y)) | ~_is_count(z))
+        return (hosp, day), (y, z), bad
 
     def check(line, cells, repeated):
         hid, day, cases, inc = cells
+        if not hid:
+            raise ParseError(f"{path}:{line}: missing hospital_id", line=line)
         try:
             day = int(day)
         except (TypeError, ValueError):

@@ -23,9 +23,9 @@ import numpy as np
 
 from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                          predict_mean, predict_modified_mean)
-from .errors import InsufficientDataError, UsageError
-from .model import predict_trajectory
-from .optimizer import FitConfig, _batch_arrays, _common_length
+from .errors import UsageError
+from .model import HospitalSeries, predict_trajectory
+from .optimizer import FitConfig, _batch_arrays, _resolve_overrides
 from .sharing import SharingSpec, fit_shared
 
 __all__ = ["EvalReport", "WindowSpec", "CensorSpec", "BenchmarkPredictor",
@@ -73,7 +73,10 @@ class BenchmarkPredictor:
         self.tag = self.kind.value
 
     def predict_cohort(self, cohort):
-        y, r, z = _batch_arrays(cohort)
+        return self.predict_arrays(*_batch_arrays(cohort))
+
+    def predict_arrays(self, y, r, z):
+        """:meth:`predict_cohort` on the cohort's (K, T) arrays."""
         v = locf_impute(y, r)
         K, T = v.shape
         prev = v[:, -2]
@@ -112,18 +115,31 @@ class IncrementPredictor:
 
     def predict_cohort(self, cohort):
         y, r, z = _batch_arrays(cohort)
-        usable = np.flatnonzero(r[:, :-1].sum(axis=1) >= 2)
-        beta = np.zeros((len(cohort), 3))
-        ok = np.zeros(len(cohort), dtype=bool)
+        usable = _fit_rows(r)
+        heads = [cohort[k].window(1, cohort[k].T - 1) for k in usable]
+        return self.predict_arrays(y, r, z * self.config.incidence_scale,
+                                   usable, heads)
+
+    def predict_arrays(self, y, r, zs, usable, heads, overrides=None):
+        """:meth:`predict_cohort` on the cohort's (K, T) arrays, ``zs``
+        already scaled, with the rows :func:`_fit_rows` picks and their
+        series without the final day.  ``overrides``, when given, is the
+        ``(eta, init)`` pair of those heads (see :func:`fit_shared`)."""
+        beta = np.zeros((len(y), 3))
+        ok = np.zeros(len(y), dtype=bool)
         if len(usable):
-            heads = [cohort[k].window(1, cohort[k].T - 1) for k in usable]
-            fits = fit_shared(heads, self.sharing, self.config).results
+            fits = fit_shared(heads, self.sharing, self.config,
+                              overrides=overrides).results
             for k, res in zip(usable, fits):
                 if res is not None and res.converged:
                     beta[k], ok[k] = res.beta.as_array(), True
-        y_tilde, dy_hat = predict_trajectory(
-            y, r, z * self.config.incidence_scale, beta)
+        y_tilde, dy_hat = predict_trajectory(y, r, zs, beta)
         return dy_hat[:, -1], y_tilde[:, -2], ok
+
+
+def _fit_rows(r):
+    """Rows with the 2 reports before the final day that a fit needs."""
+    return np.flatnonzero(r[:, :-1].sum(axis=1) >= 2)
 
 
 def last_point_error(cohort, predictor, fallback_predictor=None):
@@ -135,13 +151,24 @@ def last_point_error(cohort, predictor, fallback_predictor=None):
     """
     if len(cohort) == 0:
         raise UsageError("cohort must be nonempty")
-    inc, prev, ok = predictor.predict_cohort(cohort)
-    if fallback_predictor is not None:
-        f_inc, f_prev, f_ok = fallback_predictor.predict_cohort(cohort)
+    outcome = predictor.predict_cohort(cohort)
+    fallback = (None if fallback_predictor is None
+                else fallback_predictor.predict_cohort(cohort))
+    return _score(predictor.tag, [s.id for s in cohort],
+                  np.array([s.y[-1] for s in cohort]), outcome, fallback)
+
+
+def _score(tag, ids, last, outcome, fallback=None):
+    """The report of :func:`last_point_error` from the predictors' outcomes.
+
+    ``ids`` and ``last`` (the final day's reports) are per hospital;
+    ``outcome`` and ``fallback`` are ``predict_cohort`` results.
+    """
+    inc, prev, ok = outcome
+    if fallback is not None:
+        f_inc, f_prev, f_ok = fallback
     else:
-        f_inc, f_prev, f_ok = inc, prev, np.zeros(len(cohort), dtype=bool)
-    ids = [s.id for s in cohort]
-    last = np.array([s.y[-1] for s in cohort])
+        f_inc, f_prev, f_ok = inc, prev, np.zeros(len(ids), dtype=bool)
     final = np.isfinite(last)
     fell_back = final & ~ok & f_ok
     scored = final & (ok | fell_back)
@@ -155,7 +182,7 @@ def last_point_error(cohort, predictor, fallback_predictor=None):
              for k in np.flatnonzero(final & ~scored)]
     if not final.any():
         flags.append("no hospital reported on the final day")
-    return EvalReport(model=predictor.tag, errors=errors,
+    return EvalReport(model=tag, errors=errors,
                       summary=_summarize(list(errors.values())),
                       fallback_count=int(fell_back.sum()), flags=flags)
 
@@ -211,26 +238,33 @@ def sensitivity_run(cohort, sharing_specs, config=None,
     baseline scored no hospital, gets NaN and a flag.  Where the baseline
     scored anyone, so does the increment model: its mean-model fallback
     predicts every hospital of a window of 3 or more days.
+
+    Only the fit, bridge and score depend on the sharing combination.  Each
+    window's arrays, baseline report, fallback predictions, rows to fit and
+    their step sizes and starts are computed once and serve every spec.
     """
     if config is None:
         config = FitConfig()
     if len(cohort) == 0:
         raise UsageError("cohort must be nonempty")
-    windows = sliding_windows(_common_length(cohort), window_length)
+    Y, R, Z = _batch_arrays(cohort)
+    windows = sliding_windows(Y.shape[1], window_length)
     flags = []
     per_spec_diffs = {spec.label: [] for spec in sharing_specs}
     baseline_predictor = BenchmarkPredictor(baseline)
     fallback = BenchmarkPredictor(BenchmarkKind.MEAN)
+    predictors = [IncrementPredictor(spec, config) for spec in sharing_specs]
     for w in windows:
-        wcohort = []
-        for s in cohort:
-            try:
-                wcohort.append(s.window(w.start, w.end))
-            except InsufficientDataError:
-                flags.append(f"window {w.start}: {s.id} has no reports, dropped")
-        skip = "empty" if not wcohort else None
-        if wcohort:
-            base_report = last_point_error(wcohort, baseline_predictor)
+        days = slice(w.start - 1, w.end)
+        kept = R[:, days].any(axis=1)
+        flags += [f"window {w.start}: {cohort[k].id} has no reports, dropped"
+                  for k in np.flatnonzero(~kept)]
+        skip = "empty" if not kept.any() else None
+        if not skip:
+            y, r, z = Y[kept, days], R[kept, days], Z[kept, days]
+            ids = [s.id for s, keep in zip(cohort, kept) if keep]
+            base_report = _score(baseline_predictor.tag, ids, y[:, -1],
+                                 baseline_predictor.predict_arrays(y, r, z))
             if not base_report.errors:
                 skip = f"{base_report.model} scored no hospital"
         if skip:
@@ -238,10 +272,19 @@ def sensitivity_run(cohort, sharing_specs, config=None,
             for spec in sharing_specs:
                 per_spec_diffs[spec.label].append(float("nan"))
             continue
-        for spec in sharing_specs:
-            model_report = last_point_error(
-                wcohort, IncrementPredictor(spec, config), fallback)
-            per_spec_diffs[spec.label].append(base_report.total - model_report.total)
+        fallback_outcome = fallback.predict_arrays(y, r, z)
+        zs = z * config.incidence_scale
+        usable = _fit_rows(r)
+        heads = [HospitalSeries(ids[k], y[k, :-1], z[k, :-1]) for k in usable]
+        overrides = _resolve_overrides(y[usable, :-1], r[usable, :-1],
+                                       zs[usable, :-1], config)
+        for spec, predictor in zip(sharing_specs, predictors):
+            outcome = predictor.predict_arrays(y, r, zs, usable, heads,
+                                               overrides)
+            model_report = _score(predictor.tag, ids, y[:, -1], outcome,
+                                  fallback_outcome)
+            per_spec_diffs[spec.label].append(base_report.total
+                                              - model_report.total)
     rows = []
     for spec in sharing_specs:
         diffs = per_spec_diffs[spec.label]

@@ -336,21 +336,33 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                 break
         lossv, _ = loss_grad(beta, config.lam)
         trace[S] = lossv
-    traces = [col[~np.isnan(col)].tolist() or [float("nan")]
-              for col in trace.T]
-    converged = [not detect_divergence(tr, b) for tr, b in zip(traces, beta)]
-    if shared_dims:
-        # Under a sharing constraint one hospital's own loss may rise while
-        # the joint objective falls, so convergence is judged on the mean
-        # loss over the hospitals that stayed finite.
-        finite = [k for k, tr in enumerate(traces)
-                  if np.isfinite(tr).all() and np.isfinite(beta[k]).all()]
-        if finite:
-            first = float(np.mean([traces[k][0] for k in finite]))
-            last = float(np.mean([traces[k][-1] for k in finite]))
-            for k in finite:
-                converged[k] = last <= first
+    traces = trace.T.tolist()
+    for k in np.flatnonzero(np.isnan(trace).any(axis=0)):
+        traces[k] = [v for v in traces[k] if v == v] or [float("nan")]
+    converged = _judge_convergence(trace, beta, bool(shared_dims)).tolist()
     return beta, traces, converged, steps_used
+
+
+def _judge_convergence(trace, beta, shared):
+    """:func:`detect_divergence` of every row at once, as a (K,) mask.
+
+    ``trace`` is the driver's (S+1, K) loss array, NaN where a row recorded
+    no loss, and ``beta`` the final (K, 3) parameters.  A row converged if
+    it recorded a loss, every recorded loss and coefficient is finite, and
+    its last recorded loss is at or below its first.  Under a sharing
+    constraint one hospital's own loss may rise while the joint objective
+    falls, so there the test compares the mean first and mean last losses
+    over the finite rows instead.
+    """
+    recorded = ~np.isnan(trace)
+    cols = np.arange(trace.shape[1])
+    first = trace[recorded.argmax(axis=0), cols]
+    last = trace[len(trace) - 1 - recorded[::-1].argmax(axis=0), cols]
+    finite = (recorded.any(axis=0) & ~np.isinf(trace).any(axis=0)
+              & np.isfinite(beta).all(axis=1))
+    if shared and finite.any():
+        return finite & (np.mean(last[finite]) <= np.mean(first[finite]))
+    return finite & (last <= first)
 
 
 def jacobi_etas(y, r, z, config):

@@ -78,11 +78,16 @@ class CohortFit:
     history: list | None = None
 
 
-def fit_shared(cohort, spec, config=None, record_history=False):
+def fit_shared(cohort, spec, config=None, record_history=False, *,
+               overrides=None):
     """Fit a cohort jointly with the given sharing specification.
 
     With an empty ``shared_dims`` these are independent per-hospital fits,
     which is how :func:`gapfit.optimizer.fit_cohort` runs them.
+    ``overrides``, when given, is the per-hospital ``(eta, init)`` pair that
+    ``config``'s ``auto_eta`` and ``warm_start`` give the hospitals with 2
+    or more reports (each None when off), so that a caller fitting one
+    cohort under several specs computes it once.
     """
     if config is None:
         config = FitConfig()
@@ -94,7 +99,8 @@ def fit_shared(cohort, spec, config=None, record_history=False):
     if usable:
         y, r, z = _batch_arrays([cohort[k] for k in usable])
         z = z * config.incidence_scale
-        eta, init = _resolve_overrides(y, r, z, config)
+        eta, init = (_resolve_overrides(y, r, z, config) if overrides is None
+                     else overrides)
         shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
         beta, traces, converged, steps_used = _run_batch(
             y, r, z, config, shared_dims=shared0, eta=eta, init=init,

@@ -410,6 +410,38 @@ def test_rerun_reproduces_bit_exactly(tmp_path):
         assert _read(benchdir / name) == _read(redo / name)
 
 
+@pytest.mark.parametrize("text,code,message", [
+    ('{"command": "fit", ', 1, "unreadable manifest"),
+    ("[1,2]", 1, "manifest must be a JSON object"),
+    ('{"command": "fit"}', 1, 'manifest has no "args" object'),
+    ('{"command": "fit", "args": [1]}', 1, 'manifest has no "args" object'),
+    ('{"command": "fit", "args": {}}', 2, "manifest args lack 'input'"),
+])
+def test_rerun_rejects_a_bad_manifest(tmp_path, capsys, text, code, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    redo = tmp_path / "redo"
+    assert _run("rerun", str(manifest), "--output-dir", str(redo)) == code
+    err = capsys.readouterr().err
+    assert str(manifest) in err and message in err
+    assert not redo.exists()
+
+
+def test_rerun_names_a_missing_arg_before_writing(tmp_path, capsys):
+    outdir = _simulate(tmp_path)
+    fitdir = tmp_path / "fit"
+    assert _run("fit", "--input", str(outdir / "cohort.csv"),
+                "--output-dir", str(fitdir), "--steps", "5") == 0
+    manifest = json.loads((fitdir / "manifest.json").read_text())
+    del manifest["args"]["steps"]
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    redo = tmp_path / "redo"
+    assert _run("rerun", str(old), "--output-dir", str(redo)) == 2
+    assert "manifest args lack 'steps'" in capsys.readouterr().err
+    assert not redo.exists()
+
+
 # Every GapfitError class, and the other failures main() catches, with the
 # exit code the module docstring documents for it.
 EXIT_CODES = [

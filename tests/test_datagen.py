@@ -218,6 +218,21 @@ def test_load_rejects_missing_incidence(tmp_path):
         load_cohort(p)
 
 
+@pytest.mark.parametrize("text,line", [
+    # the last hospital_id column counts, and the first row stops short of it
+    ("hospital_id,day,cases,incidence,hospital_id\n"
+     "a,1,3.0,1.0\na,2,4.0,1.0\nb,1,3.0,1.0,None\nb,2,5.0,1.0,None\n", 2),
+    # an empty id before a bad day: the id check comes first
+    ("hospital_id,day,cases,incidence\nh0,1,3,1.0\n,x,3,1.0\n", 3),
+])
+def test_load_rejects_missing_hospital_id(tmp_path, text, line):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="missing hospital_id") as exc:
+        load_cohort(p)
+    assert exc.value.line == line
+
+
 def test_load_excludes_underreported_hospitals(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("hospital_id,day,cases,incidence\n"
@@ -241,8 +256,10 @@ def test_load_alternative_incidence_column(tmp_path):
 def _reference_load(path, incidence_column="incidence"):
     """The row-by-row reader that load_cohort replaced, kept as its oracle.
 
-    Its one change: a line number is csv's physical line, where the old loop
-    counted records and so drifted after a blank line or a quoted line break.
+    Its two changes: a line number is csv's physical line, where the old loop
+    counted records and so drifted after a blank line or a quoted line break;
+    and a missing or empty hospital_id is an error, where the old loop took
+    a missing one for a hospital named "None" and an empty one for a name.
     """
     rows = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -257,6 +274,9 @@ def _reference_load(path, incidence_column="incidence"):
         for row in reader:
             lineno = reader.reader.line_num
             hid = row["hospital_id"]
+            if not hid:
+                raise ParseError(f"{path}:{lineno}: missing hospital_id",
+                                 line=lineno)
             try:
                 day = int(row["day"])
             except (TypeError, ValueError):
@@ -388,6 +408,10 @@ def _outcome(load, path):
 @example(text=_HEADER + "a,1,1.0,1.0\na,1,2.0,1.0\na,2,x,1.0\n", chunk=7)
 # two bad cells in one row: the cases check comes first
 @example(text=_HEADER + "a,1,-1,nan\n", chunk=7)
+# a row too short to reach the last hospital_id column, and an empty id
+@example(text="hospital_id,day,cases,incidence,hospital_id\n"
+         "a,1,3.0,1.0\nb,1,3.0,1.0,None\n", chunk=7)
+@example(text=_HEADER + "a,1,3.0,1.0\n,1,3.0,1.0\n", chunk=1)
 def test_load_cohort_matches_row_by_row_reader(tmp_path, monkeypatch, text,
                                                chunk):
     # small chunks put chunk boundaries between any two records

@@ -4,15 +4,16 @@ import pytest
 from gapfit.benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                                predict_mean)
 from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
-from gapfit.errors import UsageError
+from gapfit import evaluation, optimizer
+from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
                                IncrementPredictor, _rebuild_benchmarks,
                                censor_and_recover,
                                last_point_error, sensitivity_run,
                                sliding_windows)
-from gapfit.model import predict_trajectory
+from gapfit.model import HospitalSeries, predict_trajectory
 from gapfit.optimizer import FitConfig, _batch_arrays
-from gapfit.sharing import SharingSpec
+from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec
 
 from conftest import make_series
 
@@ -240,6 +241,134 @@ def test_window_that_scored_nobody_is_nan_and_flagged():
 def test_sensitivity_empty_cohort_rejected():
     with pytest.raises(UsageError, match="cohort must be nonempty"):
         sensitivity_run([], [SharingSpec()])
+
+
+def _reference_sensitivity(cohort, sharing_specs, config,
+                           baseline=BenchmarkKind.MEAN, window_length=35):
+    """The per-spec loop ``sensitivity_run`` replaced, kept as oracle: every
+    (window, spec) pair cuts its own window series and fits through
+    ``last_point_error`` from scratch."""
+    windows = sliding_windows(cohort[0].T, window_length)
+    flags = []
+    per_spec_diffs = {spec.label: [] for spec in sharing_specs}
+    baseline_predictor = BenchmarkPredictor(baseline)
+    fallback = BenchmarkPredictor(BenchmarkKind.MEAN)
+    for w in windows:
+        wcohort = []
+        for s in cohort:
+            try:
+                wcohort.append(s.window(w.start, w.end))
+            except InsufficientDataError:
+                flags.append(f"window {w.start}: {s.id} has no reports, dropped")
+        skip = "empty" if not wcohort else None
+        if wcohort:
+            base_report = last_point_error(wcohort, baseline_predictor)
+            if not base_report.errors:
+                skip = f"{base_report.model} scored no hospital"
+        if skip:
+            flags.append(f"window {w.start}: {skip}, skipped")
+            for spec in sharing_specs:
+                per_spec_diffs[spec.label].append(float("nan"))
+            continue
+        for spec in sharing_specs:
+            model_report = last_point_error(
+                wcohort, IncrementPredictor(spec, config), fallback)
+            per_spec_diffs[spec.label].append(base_report.total - model_report.total)
+    rows = []
+    for spec in sharing_specs:
+        diffs = per_spec_diffs[spec.label]
+        clean = [d for d in diffs if not np.isnan(d)]
+        q1, med, q3 = (np.quantile(clean, [0.25, 0.5, 0.75])
+                       if clean else (float("nan"),) * 3)
+        rows.append((spec.label, diffs, float(q1), float(med), float(q3)))
+    return windows, rows, flags
+
+
+def _gapped_cohort(rng, K, T):
+    """Reports missing at random and in long gaps: some hospitals have no
+    report in some windows, some too few to fit, and on a few days nobody
+    reports."""
+    y = np.cumsum(rng.normal(0.5, 2.0, (K, T)), axis=1) + 40.0
+    y[rng.random((K, T)) < rng.uniform(0.1, 0.5)] = np.nan
+    for k in rng.choice(K, size=K // 3, replace=False):
+        start = int(rng.integers(0, T - 2))
+        y[k, start:start + int(rng.integers(3, T))] = np.nan
+    y[:, rng.choice(T, size=int(rng.integers(0, 3)), replace=False)] = np.nan
+    for k in np.flatnonzero(~np.isfinite(y).any(axis=1)):
+        y[k, int(rng.integers(0, T))] = 30.0
+    z = rng.uniform(20.0, 400.0, (K, T))
+    return [HospitalSeries(f"h{k}", y[k], z[k]) for k in range(K)]
+
+
+def test_sensitivity_matches_per_spec_reference_loop():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    cases = [(BenchmarkKind.MEAN, "gd", False, False),
+             (BenchmarkKind.LINREG_LOCF, "gd", True, True),
+             (BenchmarkKind.MEAN, "adam", True, False),
+             (BenchmarkKind.LINREG_LOCF, "adam", False, True),
+             (BenchmarkKind.MODIFIED_MEAN, "gd", True, True),
+             (BenchmarkKind.ZERO, "adam", True, True)]
+    for trial, (baseline, method, auto_eta, warm) in enumerate(cases * 2):
+        K, T = int(rng.integers(4, 14)), int(rng.integers(8, 16))
+        cohort = _gapped_cohort(rng, K, T)
+        # short windows starve LOCF regression, which needs 5 days
+        length = int(rng.integers(3, 6 if trial % 2 else T + 1))
+        config = FitConfig(steps=int(rng.integers(1, 25)), method=method,
+                           auto_eta=auto_eta, warm_start=warm,
+                           eta_safety=float(rng.choice([0.05, 0.5, 4.0])),
+                           eta=(1e-3, 1e-3, float(rng.choice([1e-4, 1e-1]))))
+        report = sensitivity_run(cohort, ALL_SHARING_SPECS, config,
+                                 baseline=baseline, window_length=length)
+        windows, rows, flags = _reference_sensitivity(
+            cohort, ALL_SHARING_SPECS, config, baseline, length)
+        assert report.windows == windows
+        assert report.flags == flags
+        assert [row.label for row in report.rows] == [r[0] for r in rows]
+        for row, (_, diffs, *quantiles) in zip(report.rows, rows):
+            assert np.array(row.diffs).tobytes() == np.array(diffs).tobytes()
+            assert np.array([row.q1, row.median, row.q3]).tobytes() == \
+                np.array(quantiles).tobytes()
+
+
+def test_sensitivity_fits_each_window_spec_through_fit_shared(monkeypatch):
+    # the benchmark counts fits by a hook on evaluation's fit_shared: one
+    # call per (window, spec) over the window's usable hospitals, and the
+    # step sizes and warm starts once per window
+    calls = {"fit_shared": [], "jacobi_etas": 0, "warm_start_inits": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if name == "fit_shared":
+                calls[name].append((len(args[0]), out.results))
+            else:
+                calls[name] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(evaluation, "fit_shared",
+                        counted("fit_shared", evaluation.fit_shared))
+    for name in ("jacobi_etas", "warm_start_inits"):
+        monkeypatch.setattr(optimizer, name,
+                            counted(name, getattr(optimizer, name)))
+    cohort = _gapped_cohort(np.random.Generator(np.random.PCG64(5)), 12, 14)
+    config = FitConfig(steps=5, auto_eta=True, warm_start=True)
+    report = sensitivity_run(cohort, ALL_SHARING_SPECS, config,
+                             window_length=9)
+    y, r, _ = _batch_arrays(cohort)
+    usable = []
+    for i, w in enumerate(report.windows):
+        if np.isnan(report.rows[0].diffs[i]):
+            continue
+        days = r[:, w.start - 1:w.end]
+        usable.append(int((days[:, :-1].sum(axis=1) >= 2).sum()))
+    assert len(usable) >= 4
+    assert calls["jacobi_etas"] == calls["warm_start_inits"] == len(usable)
+    expected = [n for n in usable for _ in ALL_SHARING_SPECS]
+    assert [n for n, _ in calls["fit_shared"]] == expected
+    for n, results in calls["fit_shared"]:
+        assert len(results) == n
+        assert all(res is not None for res in results)
 
 
 # -- censor and recover -----------------------------------------------------

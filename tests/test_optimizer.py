@@ -6,8 +6,8 @@ from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, HospitalSeries, loss
-from gapfit.optimizer import (FitConfig, _batch_arrays, _Residuals,
-                              _loss_grad_batch, _loss_grad_tape,
+from gapfit.optimizer import (FitConfig, _batch_arrays, _judge_convergence,
+                              _Residuals, _loss_grad_batch, _loss_grad_tape,
                               detect_divergence, fit, fit_cohort, jacobi_etas,
                               l2_penalty, warm_start_inits)
 
@@ -45,6 +45,58 @@ def test_detect_divergence():
     assert detect_divergence([1.0, 0.5], Beta(np.nan, 0.0, 0.0))
     with pytest.raises(UsageError):
         detect_divergence([], Beta())
+
+
+def _reference_converged(trace, beta, shared):
+    """The per-row judgement ``_run_batch`` replaced, kept as oracle."""
+    traces = [col[~np.isnan(col)].tolist() or [float("nan")]
+              for col in trace.T]
+    converged = [not detect_divergence(tr, b) for tr, b in zip(traces, beta)]
+    if shared:
+        finite = [k for k, tr in enumerate(traces)
+                  if np.isfinite(tr).all() and np.isfinite(beta[k]).all()]
+        if finite:
+            first = float(np.mean([traces[k][0] for k in finite]))
+            last = float(np.mean([traces[k][-1] for k in finite]))
+            for k in finite:
+                converged[k] = last <= first
+    return converged
+
+
+def _random_trace(rng, S, kind):
+    """One row of the driver's (S+1, K) loss array."""
+    if kind == "flat":
+        return np.full(S + 1, rng.uniform(0.0, 5.0))
+    row = rng.uniform(0.0, 5.0, S + 1)
+    if kind == "falling":
+        row = np.sort(row)[::-1]
+    elif kind == "rising":
+        row = np.sort(row)
+    elif kind == "stops":  # NaN from the step the row stopped, maybe step 1
+        row[int(rng.integers(1, S + 2)):] = np.nan
+    elif kind == "never":
+        row[:] = np.nan
+    elif kind == "hole":
+        row[int(rng.integers(0, S + 1))] = np.nan
+    elif kind == "inf":
+        row[int(rng.integers(0, S + 1))] = rng.choice([np.inf, -np.inf])
+    return row
+
+
+def test_convergence_on_arrays_matches_per_row_judgement():
+    rng = np.random.Generator(np.random.PCG64(404))
+    kinds = ["flat", "falling", "rising", "random", "stops", "never", "hole",
+             "inf"]
+    for trial in range(400):
+        S, K = int(rng.integers(0, 7)), int(rng.integers(1, 12))
+        mix = rng.choice(kinds, size=int(rng.integers(1, 4)))
+        trace = np.column_stack([_random_trace(rng, S, rng.choice(mix))
+                                 for _ in range(K)])
+        beta = rng.normal(0.0, 1.0, (K, 3))
+        beta[rng.random((K, 3)) < 0.05] = rng.choice([np.nan, np.inf])
+        for shared in (False, True):
+            flags = _judge_convergence(trace, beta, shared)
+            assert flags.tolist() == _reference_converged(trace, beta, shared)
 
 
 def test_one_gd_step_equals_minus_eta_gradient(anchor_series):
