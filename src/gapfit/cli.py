@@ -147,7 +147,10 @@ def _load(args):
         log.warning("%s", w)
     if not cohort:
         raise UsageError(f"no usable hospitals in {args['input']}")
-    return sorted(cohort, key=lambda s: s.id), warnings
+    # Python's order of the ids themselves: a numpy string array would drop
+    # trailing NUL characters
+    return cohort.take(sorted(range(len(cohort)),
+                              key=cohort.ids.__getitem__)), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +183,9 @@ def cmd_fit(args):
     cohort_fit = fit_shared(cohort, spec, config)
     param_rows = []
     trace_rows = []
-    for s, res in zip(cohort, cohort_fit.results):
+    for hid, res in zip(cohort.ids, cohort_fit.results):
         if res is None:
-            param_rows.append([s.id, "", "", "", "false", "true", 0, ""])
+            param_rows.append([hid, "", "", "", "false", "true", 0, ""])
             continue
         coefs = res.beta.as_array()
         # a diverged fit's non-finite coefficients are left blank, so
@@ -190,13 +193,13 @@ def cmd_fit(args):
         cells = ([_fmt(c) for c in coefs] if np.isfinite(coefs).all()
                  else ["", "", ""])
         param_rows.append([
-            s.id, *cells,
+            hid, *cells,
             "true" if res.converged else "false",
             "true" if res.fell_back else "false",
             res.steps_used, _fmt(res.loss_trace[-1]),
         ])
         for step, value in enumerate(res.loss_trace):
-            trace_rows.append([s.id, step, _fmt(value)])
+            trace_rows.append([hid, step, _fmt(value)])
     _write_csv(_artifact(outdir, "params.csv"),
                ["hospital_id", "b1", "b2", "b3", "converged", "fell_back",
                 "steps_used", "final_loss"], param_rows)
@@ -337,13 +340,16 @@ def _load_params(path):
         # a skipped row keys on its own position (< 0), so it repeats no row
         hosp = -1 - np.arange(start, start + len(hid))
         hosp[used] = _codes([h for h, u in zip(hid, used.tolist()) if u], ids)
-        bad = used & (~np.isfinite(coefs).all(axis=1) | (not keyed))
+        # a row too short to reach its hospital_id, or a file without that
+        # column, has the id None
+        unnamed = np.equal(np.array(hid, object), None)
+        bad = used & (~np.isfinite(coefs).all(axis=1) | unnamed)
         return (hosp,), (coefs,), bad
 
     def check(line, cells, repeated):
         hid, *cells = cells
         try:
-            if not keyed:
+            if hid is None:
                 raise KeyError("hospital_id")
             coefs = [float(c) for c in cells]
         except (KeyError, TypeError, ValueError):
@@ -357,13 +363,12 @@ def _load_params(path):
                 f"{path}:{line}: duplicate parameters for {hid!r}", line=line)
 
     with _CsvColumns(path, ["hospital_id", "b1", "b2", "b3"]) as table:
-        keyed = table.header is not None and "hospital_id" in table.header
         _, (hosp,), (coefs,) = table.read(convert, check)
     return {hid: Beta(*c) for hid, c in zip(ids, coefs[hosp >= 0].tolist())}
 
 
 def _load_future_z(path, incidence_column):
-    """Incidence per hospital id and day from a ``--future-z`` file."""
+    """Incidence per (hospital id, day) from a ``--future-z`` file."""
     names = ["hospital_id", "day", incidence_column]
     ids = {}  # hospital id -> index, in order of first appearance
 
@@ -371,13 +376,14 @@ def _load_future_z(path, incidence_column):
         hid, day, cells = columns
         day, bad = _parse_cells(int, day, 0)
         z = _parse_cells(float, cells, np.nan)[0]
-        bad |= ~_is_count(z) | (not keyed)
+        bad |= ~_is_count(z) | np.equal(np.array(hid, object), None)
+        bad |= not keyed
         return (_codes(hid, ids), day), (z,), bad
 
     def check(line, cells, repeated):
         hid, day, cell = cells
         try:
-            if not keyed:
+            if not keyed or hid is None:
                 raise KeyError(names)
             day = int(day)
         except (KeyError, TypeError, ValueError):
@@ -392,10 +398,8 @@ def _load_future_z(path, incidence_column):
         keyed = table.header is not None and set(names) <= set(table.header)
         _, (hosp, day), (z,) = table.read(convert, check)
     hids = list(ids)
-    out = {}
-    for h, d, value in zip(hosp.tolist(), day.tolist(), z.tolist()):
-        out.setdefault(hids[h], {})[d] = value
-    return out
+    return {(hids[h], d): value
+            for h, d, value in zip(hosp.tolist(), day.tolist(), z.tolist())}
 
 
 def cmd_predict(args):
@@ -405,56 +409,46 @@ def cmd_predict(args):
     horizon = args["horizon"]
     if horizon < 0:
         raise UsageError("horizon must be >= 0")
-    future_z = {}
-    if horizon > 0:
-        if not args.get("future_z"):
-            raise UsageError("--future-z is required when horizon > 0")
-        future_z = _load_future_z(args["future_z"], args["incidence_column"])
+    if horizon > 0 and not args.get("future_z"):
+        raise UsageError("--future-z is required when horizon > 0")
+    future_z = (_load_future_z(args["future_z"], args["incidence_column"])
+                if horizon > 0 else {})  # (hospital id, day) -> incidence
+    # Forecast days are unreported days past each row's own last day.  The
+    # incidence of day ``days + horizon`` feeds no prediction and stays 0.
+    y = np.pad(cohort.y, ((0, 0), (0, horizon)), constant_values=np.nan)
+    z = np.pad(cohort.z, ((0, 0), (0, horizon)))
     kept = []
-    for s in cohort:
-        if s.id not in betas:
-            log.warning("no parameters for %s, skipped", s.id)
+    for k, (hid, n) in enumerate(zip(cohort.ids, cohort.days.tolist())):
+        if hid not in betas:
+            log.warning("no parameters for %s, skipped", hid)
             continue
-        y, z = s.y, s.z
-        if horizon > 0:
-            # Forecast days are unreported days past T.  The incidence of day
-            # T + horizon feeds no prediction, so it is padded with 0.
-            zmap = future_z.get(s.id, {})
-            future = range(s.T + 1, s.T + horizon)
-            missing = [d for d in future if d not in zmap]
-            if missing:
-                raise UsageError(f"future z missing for {s.id} day {missing[0]}")
-            y = np.concatenate([y, np.full(horizon, np.nan)])
-            z = np.concatenate([z, [zmap[d] for d in future], [0.0]])
-        kept.append((s, y, z))
+        future = range(n + 1, n + horizon)
+        missing = [d for d in future if (hid, d) not in future_z]
+        if missing:
+            raise UsageError(f"future z missing for {hid} day {missing[0]}")
+        z[k, n:n + horizon - 1] = [future_z[hid, d] for d in future]
+        kept.append(k)
+    # the recursion is causal, so the padding leaves each row's days as they are
+    y, r = y[kept], np.isfinite(y[kept])
+    coefs = np.array([betas[cohort.ids[k]].as_array() for k in kept])
+    y_tilde, dy_hat = predict_trajectory(
+        y, r, z[kept] * args["incidence_scale"], coefs.reshape(-1, 3))
     rows = []
-    if kept:
-        # One bridge over the cohort, right-padded with unreported days; the
-        # recursion is causal, so padding leaves each row's own days as they are.
-        days = max(len(y) for _, y, _ in kept)
-        Y = np.full((len(kept), days), np.nan)
-        Z = np.zeros((len(kept), days))
-        for i, (_, y, z) in enumerate(kept):
-            Y[i, :len(y)] = y
-            Z[i, :len(z)] = z
-        R = np.isfinite(Y)
-        y_tilde, dy_hat = predict_trajectory(
-            Y, R, Z * args["incidence_scale"],
-            np.array([betas[s.id].as_array() for s, _, _ in kept]))
-        for i, (s, y, _) in enumerate(kept):
-            first = int(np.argmax(R[i]))
-            cells = zip(y.tolist(), R[i].tolist(), y_tilde[i].tolist(),
-                        dy_hat[i].tolist())
-            for t, (obs, rep, state, inc) in enumerate(cells):
-                if t >= s.T:
-                    kind = "forecast"
-                elif t < first:
-                    kind = "pre-report"
-                else:
-                    kind = "observed" if rep else "bridged"
-                rows.append([s.id, t + 1, _fmt(obs) if rep else "",
-                             _fmt(state) if t >= first else "",
-                             _fmt(inc) if t > first else "", kind])
+    for i, k in enumerate(kept):
+        hid, T = cohort.ids[k], int(cohort.days[k])
+        first = int(np.argmax(r[i]))
+        cells = zip(*(a[i, :T + horizon].tolist()
+                      for a in (y, r, y_tilde, dy_hat)))
+        for t, (obs, rep, state, inc) in enumerate(cells):
+            if t >= T:
+                kind = "forecast"
+            elif t < first:
+                kind = "pre-report"
+            else:
+                kind = "observed" if rep else "bridged"
+            rows.append([hid, t + 1, _fmt(obs) if rep else "",
+                         _fmt(state) if t >= first else "",
+                         _fmt(inc) if t > first else "", kind])
     _write_csv(_artifact(outdir, "trajectory.csv"),
                ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
                rows)

@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .model import Beta, HospitalSeries
+from .model import Beta, Cohort
 
 __all__ = ["SeirParams", "SeirState", "simulate_seir", "MissingnessSpec",
            "missingness_mask", "SimSpec", "CohortTruth", "simulate_cohort",
@@ -172,7 +172,7 @@ class CohortTruth:
 
 
 def simulate_cohort(spec):
-    """Generate an observed cohort plus its hidden ground truth.
+    """Generate an observed :class:`~gapfit.model.Cohort` and its truth.
 
     Per hospital: coefficients are drawn from ``spec.b1_range`` and the fixed
     ranges above, the trajectory evolves by the increment dynamics applied to
@@ -213,9 +213,8 @@ def simulate_cohort(spec):
         # max(0.0, x): zero for -0.0 and NaN as well
         y[:, t] = np.where(x > 0.0, x, 0.0)
     width = len(str(K - 1))
-    cohort = [HospitalSeries(f"h{k:0{width}d}", np.where(masks[k], y[k], np.nan),
-                             z[k])
-              for k in range(K)]
+    cohort = Cohort(tuple(f"h{k:0{width}d}" for k in range(K)),
+                    np.where(masks, y, np.nan), z)
     trajectories = list(y)
     return cohort, CohortTruth(betas=betas, trajectories=trajectories,
                                incidence_scale=spec.incidence_scale)
@@ -226,7 +225,8 @@ def simulate_cohort(spec):
 
 
 def save_cohort(cohort, path, truth=None, truth_path=None):
-    """Write a cohort in the long CSV schema; optionally a truth sidecar.
+    """Write a :class:`~gapfit.model.Cohort` in the long CSV schema;
+    optionally a truth sidecar.
 
     Floats are serialized at full round-trip precision.  Both files are
     written in one pass, so each hospital's cells are formatted once.
@@ -242,17 +242,17 @@ def save_cohort(cohort, path, truth=None, truth_path=None):
                 open(truth_path, "w", newline="", encoding="utf-8")))
             sidecar.writerow(["hospital_id", "day", "cases", "incidence",
                               "true_b1", "true_b2", "true_b3", "true_cases"])
-        for k, s in enumerate(cohort):
-            days = range(1, s.T + 1)
-            cases = [repr(v) if rep else ""
-                     for v, rep in zip(s.y.tolist(), s.r.tolist())]
-            z = list(map(repr, s.z.tolist()))
-            writer.writerows(zip(repeat(s.id), days, cases, z))
+        for k, (hid, n) in enumerate(zip(cohort.ids, cohort.days.tolist())):
+            days = range(1, n + 1)
+            cases = [repr(v) if rep else "" for v, rep in
+                     zip(cohort.y[k, :n].tolist(), cohort.r[k, :n].tolist())]
+            z = list(map(repr, cohort.z[k, :n].tolist()))
+            writer.writerows(zip(repeat(hid), days, cases, z))
             if truth is not None:
                 beta = truth.betas[k]
                 coefs = (repr(beta.b1), repr(beta.b2), repr(beta.b3))
                 sidecar.writerows(zip(
-                    repeat(s.id), days, cases, z, *map(repeat, coefs),
+                    repeat(hid), days, cases, z, *map(repeat, coefs),
                     map(repr, map(float, truth.trajectories[k]))))
 
 
@@ -436,12 +436,12 @@ def _parse_count(cell, what, path, lineno):
 
 
 def load_cohort(path, incidence_column="incidence"):
-    """Parse a cohort CSV; returns (cohort, warnings).
+    """Parse a cohort CSV; returns (:class:`~gapfit.model.Cohort`, warnings).
 
-    Empty ``cases`` cells mean "not reported".  Hospitals with fewer than 2
-    reports are excluded with a warning; malformed rows, including a missing
-    or empty hospital_id, non-finite or negative counts and a repeated
-    (hospital_id, day), raise
+    Rows are in order of first appearance.  Empty ``cases`` cells mean "not
+    reported".  Hospitals with fewer than 2 reports are excluded with a
+    warning; malformed rows, including a missing or empty hospital_id,
+    non-finite or negative counts and a repeated (hospital_id, day), raise
     :class:`ParseError` with the offending physical line number.
     """
     ids = {}  # hospital id -> index, in order of first appearance
@@ -495,19 +495,17 @@ def load_cohort(path, incidence_column="incidence"):
         order, (hosp, day), (y, z) = table.read(convert, check)
     hosp, day, y, z = hosp[order], day[order], y[order], z[order]
     counts = np.bincount(hosp, minlength=len(ids))
-    stops = np.cumsum(counts)
     # days are distinct and >= 1, so they are 1..n exactly when the last is n
-    broken = np.flatnonzero(day[stops - 1] != counts)
+    broken = np.flatnonzero(day[np.cumsum(counts) - 1] != counts)
     if broken.size:
         hid = list(ids)[broken[0]]
         raise ParseError(f"{path}: hospital {hid!r} has non-contiguous days")
     reports = np.bincount(hosp[np.isfinite(y)], minlength=len(ids))
-    cohort = []
-    warnings = []
-    for hid, stop, n, n_reports in zip(ids, stops.tolist(), counts.tolist(),
-                                       reports.tolist()):
-        if n < 2 or n_reports < 2:
-            warnings.append(f"{hid}: fewer than 2 reports, excluded")
-            continue
-        cohort.append(HospitalSeries(hid, y[stop - n:stop], z[stop - n:stop]))
-    return cohort, warnings
+    usable = ((counts >= 2) & (reports >= 2)).tolist()
+    Y = np.full((len(ids), counts.max(initial=0)), np.nan)
+    Z = np.zeros(Y.shape)
+    Y[hosp, day - 1], Z[hosp, day - 1] = y, z
+    cohort = Cohort([hid for hid, ok in zip(ids, usable) if ok], Y[usable],
+                    Z[usable], counts[usable])
+    return cohort, [f"{hid}: fewer than 2 reports, excluded"
+                    for hid, ok in zip(ids, usable) if not ok]

@@ -6,13 +6,8 @@ the squared difference between a model's predicted increment into day T and
 the realized increment relative to the model's own state at day T-1.  Models
 that fail to fit a hospital are replaced by a fallback predictor and counted.
 
-Every model works on the cohort as (K, T) arrays, once per fit or rebuild,
-not once per hospital.  Censor-and-recover rebuilds every censored trajectory
-with each model.  Zero, mean and LOCF regression are increment models with
-fixed coefficients, so they bridge the gaps through
-:func:`gapfit.model.predict_trajectory`, the increment model's own recursion;
-only modified mean, whose rule reads the previous rebuilt increment, walks its
-own day loop over whole rows.
+Every protocol takes a :class:`gapfit.model.Cohort`, and every model works on
+its (K, T) arrays, once per fit or rebuild, not once per hospital.
 """
 
 from __future__ import annotations
@@ -24,8 +19,8 @@ import numpy as np
 from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                          predict_mean, predict_modified_mean)
 from .errors import UsageError
-from .model import HospitalSeries, predict_trajectory
-from .optimizer import FitConfig, _batch_arrays, _resolve_overrides
+from .model import Cohort, predict_trajectory
+from .optimizer import FitConfig, _resolve_overrides
 from .sharing import SharingSpec, fit_shared
 
 __all__ = ["EvalReport", "WindowSpec", "CensorSpec", "BenchmarkPredictor",
@@ -73,12 +68,9 @@ class BenchmarkPredictor:
         self.tag = self.kind.value
 
     def predict_cohort(self, cohort):
-        return self.predict_arrays(*_batch_arrays(cohort))
-
-    def predict_arrays(self, y, r, z):
-        """:meth:`predict_cohort` on the cohort's (K, T) arrays."""
+        K, T = len(cohort), cohort.T
+        y, r, z = cohort.y, cohort.r, cohort.z
         v = locf_impute(y, r)
-        K, T = v.shape
         prev = v[:, -2]
         ok = np.ones(K, dtype=bool)
         if self.kind is BenchmarkKind.ZERO:
@@ -113,33 +105,28 @@ class IncrementPredictor:
         self.config = config if config is not None else FitConfig()
         self.tag = f"increment[{self.sharing.label}]"
 
-    def predict_cohort(self, cohort):
-        y, r, z = _batch_arrays(cohort)
-        usable = _fit_rows(r)
-        heads = [cohort[k].window(1, cohort[k].T - 1) for k in usable]
-        return self.predict_arrays(y, r, z * self.config.incidence_scale,
-                                   usable, heads)
-
-    def predict_arrays(self, y, r, zs, usable, heads, overrides=None):
-        """:meth:`predict_cohort` on the cohort's (K, T) arrays, ``zs``
-        already scaled, with the rows :func:`_fit_rows` picks and their
-        series without the final day.  ``overrides``, when given, is the
-        ``(eta, init)`` pair of those heads (see :func:`fit_shared`)."""
-        beta = np.zeros((len(y), 3))
-        ok = np.zeros(len(y), dtype=bool)
+    def predict_cohort(self, cohort, overrides=None):
+        """``overrides``, when given, is the ``(eta, init)`` pair of the
+        cohort's :func:`_heads` (see :func:`fit_shared`)."""
+        usable, heads = _heads(cohort)
+        beta = np.zeros((len(cohort), 3))
+        ok = np.zeros(len(cohort), dtype=bool)
         if len(usable):
             fits = fit_shared(heads, self.sharing, self.config,
                               overrides=overrides).results
             for k, res in zip(usable, fits):
                 if res is not None and res.converged:
                     beta[k], ok[k] = res.beta.as_array(), True
-        y_tilde, dy_hat = predict_trajectory(y, r, zs, beta)
+        y_tilde, dy_hat = predict_trajectory(
+            cohort.y, cohort.r, cohort.z * self.config.incidence_scale, beta)
         return dy_hat[:, -1], y_tilde[:, -2], ok
 
 
-def _fit_rows(r):
-    """Rows with the 2 reports before the final day that a fit needs."""
-    return np.flatnonzero(r[:, :-1].sum(axis=1) >= 2)
+def _heads(cohort):
+    """The rows with the 2 reports before the final day that a fit needs,
+    and the cohort of those rows without the final day."""
+    usable = np.flatnonzero(cohort.r[:, :-1].sum(axis=1) >= 2)
+    return usable, cohort.take(usable).window(1, cohort.T - 1)
 
 
 def last_point_error(cohort, predictor, fallback_predictor=None):
@@ -154,16 +141,13 @@ def last_point_error(cohort, predictor, fallback_predictor=None):
     outcome = predictor.predict_cohort(cohort)
     fallback = (None if fallback_predictor is None
                 else fallback_predictor.predict_cohort(cohort))
-    return _score(predictor.tag, [s.id for s in cohort],
-                  np.array([s.y[-1] for s in cohort]), outcome, fallback)
+    return _score(predictor.tag, cohort, outcome, fallback)
 
 
-def _score(tag, ids, last, outcome, fallback=None):
-    """The report of :func:`last_point_error` from the predictors' outcomes.
-
-    ``ids`` and ``last`` (the final day's reports) are per hospital;
-    ``outcome`` and ``fallback`` are ``predict_cohort`` results.
-    """
+def _score(tag, cohort, outcome, fallback=None):
+    """The report of :func:`last_point_error` from the predictors' outcomes,
+    ``outcome`` and ``fallback``, on ``cohort``."""
+    ids, last = cohort.ids, cohort.y[:, -1]
     inc, prev, ok = outcome
     if fallback is not None:
         f_inc, f_prev, f_ok = fallback
@@ -247,24 +231,21 @@ def sensitivity_run(cohort, sharing_specs, config=None,
         config = FitConfig()
     if len(cohort) == 0:
         raise UsageError("cohort must be nonempty")
-    Y, R, Z = _batch_arrays(cohort)
-    windows = sliding_windows(Y.shape[1], window_length)
+    windows = sliding_windows(cohort.T, window_length)
     flags = []
     per_spec_diffs = {spec.label: [] for spec in sharing_specs}
     baseline_predictor = BenchmarkPredictor(baseline)
     fallback = BenchmarkPredictor(BenchmarkKind.MEAN)
     predictors = [IncrementPredictor(spec, config) for spec in sharing_specs]
     for w in windows:
-        days = slice(w.start - 1, w.end)
-        kept = R[:, days].any(axis=1)
-        flags += [f"window {w.start}: {cohort[k].id} has no reports, dropped"
+        kept = cohort.r[:, w.start - 1:w.end].any(axis=1)
+        flags += [f"window {w.start}: {cohort.ids[k]} has no reports, dropped"
                   for k in np.flatnonzero(~kept)]
         skip = "empty" if not kept.any() else None
         if not skip:
-            y, r, z = Y[kept, days], R[kept, days], Z[kept, days]
-            ids = [s.id for s, keep in zip(cohort, kept) if keep]
-            base_report = _score(baseline_predictor.tag, ids, y[:, -1],
-                                 baseline_predictor.predict_arrays(y, r, z))
+            part = cohort.take(kept).window(w.start, w.end)
+            base_report = _score(baseline_predictor.tag, part,
+                                 baseline_predictor.predict_cohort(part))
             if not base_report.errors:
                 skip = f"{base_report.model} scored no hospital"
         if skip:
@@ -272,16 +253,14 @@ def sensitivity_run(cohort, sharing_specs, config=None,
             for spec in sharing_specs:
                 per_spec_diffs[spec.label].append(float("nan"))
             continue
-        fallback_outcome = fallback.predict_arrays(y, r, z)
-        zs = z * config.incidence_scale
-        usable = _fit_rows(r)
-        heads = [HospitalSeries(ids[k], y[k, :-1], z[k, :-1]) for k in usable]
-        overrides = _resolve_overrides(y[usable, :-1], r[usable, :-1],
-                                       zs[usable, :-1], config)
+        fallback_outcome = fallback.predict_cohort(part)
+        heads = _heads(part)[1]
+        overrides = (_resolve_overrides(heads.y, heads.r,
+                                        heads.z * config.incidence_scale,
+                                        config) if len(heads) else None)
         for spec, predictor in zip(sharing_specs, predictors):
-            outcome = predictor.predict_arrays(y, r, zs, usable, heads,
-                                               overrides)
-            model_report = _score(predictor.tag, ids, y[:, -1], outcome,
+            model_report = _score(predictor.tag, part,
+                                  predictor.predict_cohort(part, overrides),
                                   fallback_outcome)
             per_spec_diffs[spec.label].append(base_report.total
                                               - model_report.total)
@@ -370,15 +349,16 @@ def censor_and_recover(cohort, spec, config=None):
         config = FitConfig()
     if len(cohort) == 0:
         raise UsageError("cohort must be nonempty")
-    for s in cohort:
-        if s.n_reports != s.T:
-            raise UsageError(f"series {s.id!r} is not fully reported")
-    T = cohort[0].T
+    gapped = np.flatnonzero(cohort.n_reports != cohort.days)
+    if gapped.size:
+        raise UsageError(
+            f"series {cohort.ids[gapped[0]]!r} is not fully reported")
+    T = cohort.T
     n_censor = int(round(spec.rate * T))
     if T - n_censor < 2:
         raise UsageError(
             f"rate {spec.rate} would leave fewer than 2 reports on T={T}")
-    truth, _, z = _batch_arrays(cohort)
+    truth, z = cohort.y, cohort.z
     K = len(cohort)
     models = ["increment"] + [kind.value for kind in BenchmarkKind]
     sq_err = np.zeros((len(models), K))
@@ -390,20 +370,19 @@ def censor_and_recover(cohort, spec, config=None):
         for k in range(K):
             y[k, rng.choice(np.arange(1, T), size=n_censor, replace=False)] = np.nan
         r = np.isfinite(y)
-        censored = [type(s)(s.id, y[k], s.z) for k, s in enumerate(cohort)]
-        inc_fit = fit_shared(censored, SharingSpec(), config)
-        converged = np.array([res is not None and res.converged
-                              for res in inc_fit.results])
-        betas = np.array([res.beta.as_array() if ok else np.full(3, np.nan)
-                          for res, ok in zip(inc_fit.results, converged)])
+        # every row keeps 2 reports, so every row has a fit
+        fits = fit_shared(Cohort(cohort.ids, y, z), SharingSpec(),
+                          config).results
+        converged = np.array([res.converged for res in fits])
+        betas = np.array([res.beta.as_array() for res in fits])
         rebuilt = _rebuild_benchmarks(y, r, z)
         increment, _ = predict_trajectory(y, r, z * config.incidence_scale,
                                           betas)
         # a fit that fell back is rebuilt by the mean model
         increment = np.where(converged[:, None], increment,
                              rebuilt[BenchmarkKind.MEAN])
-        flags += [f"{s.id} rep {rep}: increment fit fell back"
-                  for s, ok in zip(cohort, converged) if not ok]
+        flags += [f"{hid} rep {rep}: increment fit fell back"
+                  for hid, ok in zip(cohort.ids, converged) if not ok]
         recons = [increment] + [rebuilt[kind] for kind in BenchmarkKind]
         sq_err += [np.mean((recon - truth) ** 2, axis=-1) for recon in recons]
     per_hospital = dict(zip(models, sq_err / spec.repetitions))

@@ -10,6 +10,10 @@ the previous state plus the model's own predicted increment.  Missing reports
 are thereby bridged by carrying the model forward instead of imputing, and the
 loss scores only days with an actual report.
 
+A :class:`Cohort` holds K hospitals as one record of (K, T) arrays, the one
+form of a cohort; a :class:`HospitalSeries` is one row, the input of
+:func:`loss`.
+
 The recursion is written twice, once per number type.
 :func:`predict_trajectory` is the float bridge: one day loop over a whole
 (K, T) cohort, which every float consumer calls.  :func:`_bridge` walks one
@@ -19,13 +23,13 @@ uses it, as the reference the tape engine differentiates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDataError, UsageError
 
-__all__ = ["HospitalSeries", "Beta", "loss", "predict_trajectory",
+__all__ = ["HospitalSeries", "Cohort", "Beta", "loss", "predict_trajectory",
            "expand_gap"]
 
 
@@ -49,6 +53,25 @@ class Beta:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
+def _check_rows(ids, y, z, days):
+    """The report mask of (K, T) ``y``.  The first row that is not a valid
+    series raises :class:`InsufficientDataError` (fewer than 2 days, or no
+    report) or :class:`UsageError`, naming its id."""
+    observed = np.isfinite(y)
+    for bad, error, message in (
+            (days < 2, InsufficientDataError, "a series needs at least 2 days"),
+            (~np.isfinite(z).all(axis=1), UsageError,
+             "incidence covariate must be complete and finite"),
+            ((z < 0).any(axis=1), UsageError, "incidence must be nonnegative"),
+            ((observed & (y < 0)).any(axis=1), UsageError,
+             "reported case counts must be nonnegative"),
+            (~observed.any(axis=1), InsufficientDataError,
+             "a series needs at least one report")):
+        if bad.any():
+            raise error(f"{message}: {ids[int(np.argmax(bad))]!r}")
+    return observed
+
+
 class HospitalSeries:
     """One hospital's reports over T days.
 
@@ -66,21 +89,10 @@ class HospitalSeries:
         z = np.asarray(z, dtype=float)
         if y.ndim != 1 or z.ndim != 1 or len(y) != len(z):
             raise UsageError("y and z must be 1-d sequences of equal length")
-        if len(y) < 2:
-            raise InsufficientDataError("a series needs at least 2 days")
-        if not np.all(np.isfinite(z)):
-            raise UsageError("incidence covariate must be complete and finite")
-        if np.any(z < 0):
-            raise UsageError("incidence must be nonnegative")
-        observed = np.isfinite(y)
-        if np.any(y[observed] < 0):
-            raise UsageError("reported case counts must be nonnegative")
-        if not observed.any():
-            raise InsufficientDataError("a series needs at least one report")
         self.id = str(id)
         self.y = y
         self.z = z
-        self.r = observed
+        self.r = _check_rows([self.id], y[None], z[None], np.array([len(y)]))[0]
 
     @property
     def T(self):
@@ -90,15 +102,97 @@ class HospitalSeries:
     def n_reports(self):
         return int(self.r.sum())
 
-    def window(self, start, stop):
-        """Copy restricted to days start..stop (1-based, inclusive)."""
-        return HospitalSeries(self.id, self.y[start - 1:stop].copy(),
-                              self.z[start - 1:stop].copy())
-
     def with_scaled_z(self, scale):
         if scale == 1.0:
             return self
         return HospitalSeries(self.id, self.y, self.z * scale)
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """K hospitals' series as one record of right-padded (K, T) arrays.
+
+    ``days`` is each row's own number of days (all T by default).  ``y``
+    holds the reports, NaN where there is none and on a row's padding, ``z``
+    the incidence, 0.0 on the padding, and ``r`` the report mask.  The arrays
+    are read-only copies.  Each row is checked as a :class:`HospitalSeries`
+    is, and ``cohort[k]`` is row k as one.
+    """
+
+    ids: tuple
+    y: np.ndarray
+    z: np.ndarray
+    days: np.ndarray = None
+    r: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        ids = tuple(map(str, self.ids))
+        y = np.array(self.y, dtype=float)
+        z = np.array(self.z, dtype=float)
+        if y.ndim != 2 or y.shape != z.shape or len(y) != len(ids):
+            raise UsageError("y and z must be (K, T) arrays, one row per id")
+        days = np.array([y.shape[1]] * len(ids) if self.days is None
+                        else self.days, int)
+        if days.shape != (len(ids),) or np.any(days > y.shape[1]):
+            raise UsageError("days must give each row a length within y")
+        T = int(days.max(initial=0))
+        y, z = y[:, :T], z[:, :T]
+        pad = np.arange(T) >= days[:, None]
+        y[pad], z[pad] = np.nan, 0.0
+        r = _check_rows(ids, y, z, days)
+        for name, value in zip(("ids", "y", "z", "days", "r"),
+                               (ids, y, z, days, r)):
+            object.__setattr__(self, name, value)
+            if name != "ids":
+                value.flags.writeable = False
+
+    @classmethod
+    def from_series(cls, series):
+        """The cohort of a sequence of :class:`HospitalSeries`, in order."""
+        series = list(series)
+        days = [s.T for s in series]
+        y = np.full((len(series), max(days, default=0)), np.nan)
+        z = np.zeros(y.shape)
+        for k, s in enumerate(series):
+            y[k, :s.T], z[k, :s.T] = s.y, s.z
+        return cls([s.id for s in series], y, z, days)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        n = self.days[k]
+        return HospitalSeries(self.ids[k], self.y[k, :n], self.z[k, :n])
+
+    @property
+    def n_reports(self):
+        return self.r.sum(axis=1)
+
+    @property
+    def T(self):
+        """The number of days of every row; rows of different lengths raise
+        :class:`UsageError`."""
+        odd = np.flatnonzero(self.days != self.days[:1])
+        if odd.size:
+            k = odd[0]
+            raise UsageError(
+                f"cohort series must share the same length: {self.ids[k]!r} "
+                f"has {self.days[k]} days, {self.ids[0]!r} has {self.days[0]}")
+        return self.y.shape[1]
+
+    def take(self, rows):
+        """The cohort of the given rows (indices or a mask), in that order."""
+        rows = np.arange(len(self))[rows]
+        return Cohort([self.ids[k] for k in rows], self.y[rows],
+                      self.z[rows], self.days[rows])
+
+    def window(self, start, stop):
+        """Days start..stop (1-based, inclusive) of every row, as a copy; a
+        row that ends before ``stop`` keeps fewer days."""
+        return Cohort(self.ids, self.y[:, start - 1:stop],
+                      self.z[:, start - 1:stop],
+                      np.clip(self.days - (start - 1), 0, stop - start + 1))
 
 
 def _coefs(beta):
@@ -108,18 +202,16 @@ def _coefs(beta):
     return b1, b2, b3
 
 
-def _bridge(series, beta):
-    """Run the carry-forward recursion once over the whole series.
+def _bridge(y, z, r, beta):
+    """Run the carry-forward recursion once over one series' days, given as
+    lists (plain floats keep numpy scalar types out of DiffScalar arithmetic).
 
     Returns ``(first, states, preds)``: ``first`` is the 0-based first
     reported day, ``states[i]`` the bridged state on day ``first + i`` and
     ``preds[i]`` the predicted increment into day ``first + 1 + i``.  Works on
-    plain floats and DiffScalars alike; :func:`loss` is its only caller, and
-    float callers use :func:`predict_trajectory`.
+    plain floats and DiffScalars alike; :func:`loss` is its only caller.
     """
     b1, b2, b3 = _coefs(beta)
-    # Plain-float views keep numpy scalar types out of DiffScalar arithmetic.
-    y, z, r = series.y.tolist(), series.z.tolist(), series.r.tolist()
     first = r.index(True)
     state = y[first]
     states = [state]
@@ -149,10 +241,9 @@ def loss(series, beta):
             f"series {series.id!r} has fewer than 2 reports")
     # Nothing is scored after the last report, so the bridge stops there.
     stop = series.T - int(np.argmax(series.r[::-1]))
-    if stop < series.T:
-        series = series.window(1, stop)
-    first, states, preds = _bridge(series, beta)
-    y, r = series.y[first + 1:].tolist(), series.r[first + 1:].tolist()
+    y, z, r = (a[:stop].tolist() for a in (series.y, series.z, series.r))
+    first, states, preds = _bridge(y, z, r, beta)
+    y, r = y[first + 1:], r[first + 1:]
     sqerror = 0.0
     contribno = 0
     for yt, rt, prev, pred in zip(y, r, states, preds):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff
 from .errors import EvaluationError, InsufficientDataError, UsageError
-from .model import Beta, HospitalSeries, loss as model_loss
+from .model import Beta, Cohort, HospitalSeries, loss as model_loss
 
 __all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "l2_penalty",
            "detect_divergence", "jacobi_etas", "warm_start_inits"]
@@ -126,25 +126,6 @@ def detect_divergence(trace, beta):
 
 # ---------------------------------------------------------------------------
 # gap-aware batch kernel
-
-
-def _common_length(cohort):
-    """The number of days every series covers; differing lengths raise."""
-    T = cohort[0].T
-    for s in cohort:
-        if s.T != T:
-            raise UsageError(
-                f"cohort series must share the same length: {s.id!r} has "
-                f"{s.T} days, {cohort[0].id!r} has {T}")
-    return T
-
-
-def _batch_arrays(cohort):
-    _common_length(cohort)
-    y = np.stack([s.y for s in cohort])
-    z = np.stack([s.z for s in cohort])
-    r = np.stack([s.r for s in cohort])
-    return y, r, z
 
 
 class _Residuals:
@@ -410,17 +391,19 @@ def _resolve_overrides(y, r, z, config):
 
 
 def fit_cohort(cohort, config):
-    """Independent fits of every series; returns a FitResult per series.
+    """Independent fits of every row of a :class:`~gapfit.model.Cohort`;
+    returns a FitResult per row.
 
-    All series must share the same length; series with fewer than 2 reports
-    raise :class:`InsufficientDataError` (use the sharing or evaluation layers
-    for collect-and-flag behavior).
+    All rows must cover the same days; a row with fewer than 2 reports
+    raises :class:`InsufficientDataError` (use the sharing or evaluation
+    layers for collect-and-flag behavior).
     """
     from .sharing import SharingSpec, fit_shared
 
-    for s in cohort:
-        if s.n_reports < 2:
-            raise InsufficientDataError(f"series {s.id!r} has fewer than 2 reports")
+    short = np.flatnonzero(cohort.n_reports < 2)
+    if short.size:
+        raise InsufficientDataError(
+            f"series {cohort.ids[short[0]]!r} has fewer than 2 reports")
     return fit_shared(cohort, SharingSpec(), config).results
 
 
@@ -430,4 +413,4 @@ def fit(series, config=None):
     Never mutates the series.  ``converged`` is False when any non-finite
     value appeared or the final loss exceeds the initial loss.
     """
-    return fit_cohort([series], config or FitConfig())[0]
+    return fit_cohort(Cohort.from_series([series]), config or FitConfig())[0]

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import Beta
-from .optimizer import (FitConfig, FitResult, _batch_arrays,
-                        _resolve_overrides, _run_batch)
+from .optimizer import FitConfig, FitResult, _resolve_overrides, _run_batch
 
 __all__ = ["SharingSpec", "CohortFit", "fit_shared", "ALL_SHARING_SPECS"]
 
@@ -69,7 +68,7 @@ ALL_SHARING_SPECS = tuple(
 class CohortFit:
     """Per-hospital results of a joint fit.
 
-    ``results[k]`` is a FitResult or None when hospital k never entered the
+    ``results[k]`` is a FitResult or None when row k never entered the
     fit (too few reports).  ``history``, when requested, holds the full
     (K, 3) parameter matrix after every step.
     """
@@ -80,9 +79,10 @@ class CohortFit:
 
 def fit_shared(cohort, spec, config=None, record_history=False, *,
                overrides=None):
-    """Fit a cohort jointly with the given sharing specification.
+    """Fit a :class:`~gapfit.model.Cohort` jointly under a sharing spec.
 
-    With an empty ``shared_dims`` these are independent per-hospital fits,
+    Rows with fewer than 2 reports are left out; the others must cover the
+    same days.  With an empty ``shared_dims`` these are independent fits,
     which is how :func:`gapfit.optimizer.fit_cohort` runs them.
     ``overrides``, when given, is the per-hospital ``(eta, init)`` pair that
     ``config``'s ``auto_eta`` and ``warm_start`` give the hospitals with 2
@@ -93,12 +93,13 @@ def fit_shared(cohort, spec, config=None, record_history=False, *,
         config = FitConfig()
     if len(cohort) < 1:
         raise UsageError("cohort must contain at least one series")
-    usable = [k for k, s in enumerate(cohort) if s.n_reports >= 2]
+    usable = np.flatnonzero(cohort.n_reports >= 2)
     results = [None] * len(cohort)
     history = [] if record_history else None
-    if usable:
-        y, r, z = _batch_arrays([cohort[k] for k in usable])
-        z = z * config.incidence_scale
+    if usable.size:
+        fitted = cohort if usable.size == len(cohort) else cohort.take(usable)
+        fitted.T  # rows of different lengths raise
+        y, r, z = fitted.y, fitted.r, fitted.z * config.incidence_scale
         eta, init = (_resolve_overrides(y, r, z, config) if overrides is None
                      else overrides)
         shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))

@@ -18,7 +18,7 @@ from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.evaluation import (BenchmarkPredictor, IncrementPredictor,
                                censor_sweep, last_point_error,
                                sensitivity_run, sliding_windows)
-from gapfit.model import Beta, HospitalSeries, expand_gap, loss, \
+from gapfit.model import Beta, Cohort, HospitalSeries, expand_gap, loss, \
     predict_trajectory
 from gapfit.optimizer import FitConfig, fit_cohort
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
@@ -93,8 +93,9 @@ def test_criterion_03_recursion_matches_expansion():
 
 def test_criterion_04_ols_reduction():
     rng = np.random.Generator(np.random.PCG64(11))
-    cohort = [HospitalSeries(f"s{k}", rng.uniform(1, 30, 40),
-                             rng.uniform(0, 5, 40)) for k in range(100)]
+    cohort = Cohort.from_series([
+        HospitalSeries(f"s{k}", rng.uniform(1, 30, 40), rng.uniform(0, 5, 40))
+        for k in range(100)])
     config = FitConfig(steps=6000, incidence_scale=1.0, auto_eta=True)
     results = fit_cohort(cohort, config)
     ols, _ = fit_linreg_locf(np.stack([locf_impute(s.y) for s in cohort]),

@@ -6,6 +6,7 @@ from gapfit.benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                                predict_mean, predict_modified_mean)
 from gapfit.errors import InsufficientDataError
 from gapfit.evaluation import BenchmarkPredictor
+from gapfit.model import Cohort
 
 from conftest import make_series
 
@@ -87,8 +88,9 @@ def test_locf_idempotent(values):
 # -- zero / mean / modified mean --------------------------------------------
 
 def test_zero_model_always_zero():
-    cohort = [make_series([2, 3, 4], id="a"),
-              make_series([2, None, 4], z=[0, 0, 0], id="b")]
+    cohort = Cohort.from_series([
+        make_series([2, 3, 4], id="a"),
+        make_series([2, None, 4], z=[0, 0, 0], id="b")])
     inc, _, ok = BenchmarkPredictor(BenchmarkKind.ZERO).predict_cohort(cohort)
     assert inc.tolist() == [0.0, 0.0] and ok.all()
 
@@ -171,7 +173,7 @@ def test_linreg_predict_increment():
     # the benchmark fits days 1..T-1 and steps once from the state on day T-1
     s = make_series([2, 3, None, 5, 4], z=[1, 2, 1, 3, 2])
     inc, prev, ok = BenchmarkPredictor(
-        BenchmarkKind.LINREG_LOCF).predict_cohort([s])
+        BenchmarkKind.LINREG_LOCF).predict_cohort(Cohort.from_series([s]))
     b1, b2, b3 = linreg(s.y[:-1], s.z[:-1])[0]
     assert ok[0] and prev[0] == 5.0
     assert inc[0] == pytest.approx(b1 + b2 * 5.0 + b3 * 3.0)

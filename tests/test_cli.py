@@ -240,6 +240,8 @@ def test_predict_bridges_and_forecasts(tmp_path):
 
 # Each case puts one bad cell into an otherwise valid predict run: (file,
 # 0-based data row, column, cell).  Every one must exit 1 naming its line.
+# A cell of None moves its column to the end of the header and cuts the row
+# short before it.
 BAD_CELLS = [
     ("cohort", 1, "incidence", "nan"),
     ("cohort", 2, "incidence", "-inf"),
@@ -253,6 +255,8 @@ BAD_CELLS = [
     ("params", 0, "b1", "nan"),
     ("params", 0, "b1", "inf"),
     ("params", 1, "hospital_id", "a"),  # a second row for hospital a
+    ("params", 0, "hospital_id", None),
+    ("future", 0, "hospital_id", None),
 ]
 
 
@@ -277,7 +281,7 @@ def _predict(tmp_path):
 
 def _write_tables(tmp_path, tables):
     for name, rows in tables.items():
-        _write(tmp_path / f"{name}.csv", list(rows[0]),
+        _write(tmp_path / f"{name}.csv", list(max(rows, key=len)),
                [list(r.values()) for r in rows])
 
 
@@ -285,7 +289,12 @@ def _write_tables(tmp_path, tables):
 def test_bad_input_cell_exits_1_with_line(tmp_path, capsys, target, index,
                                           column, cell):
     tables = _predict_tables()
-    tables[target][index][column] = cell
+    if cell is None:
+        for row in tables[target]:
+            row[column] = row.pop(column)
+        del tables[target][index][column]
+    else:
+        tables[target][index][column] = cell
     _write_tables(tmp_path, tables)
     assert _predict(tmp_path) == 1
     assert f"{target}.csv:{index + 2}:" in capsys.readouterr().err

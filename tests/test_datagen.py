@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from gapfit import datagen
+from gapfit import cli, datagen
 from gapfit.datagen import (MissingnessSpec, SeirParams, SeirState, SimSpec,
                             _parse_count, load_cohort, missingness_mask,
                             save_cohort, simulate_cohort, simulate_seir)
 from gapfit.errors import ParseError, UsageError
-from gapfit.model import HospitalSeries, loss
+from gapfit.model import Cohort, HospitalSeries, loss
 from gapfit.optimizer import FitConfig, fit_cohort
 
 
@@ -155,36 +155,61 @@ _counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
                     allow_infinity=False)
 
 
+# Ids that a numpy string array would merge or mangle: trailing NULs are
+# dropped there, so "a" and "a\x00" would become one id.
+_TRICKY_IDS = ["a", "a\x00", "a\x00\x00", "\x00", "b\U0001f600",
+               "\U0001d11e", "\U0010ffff\x00"]
+
+
 @st.composite
 def _cohorts(draw):
-    T = draw(st.integers(2, 12))
+    """A cohort whose hospitals cover 2-12 days each."""
     ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
-                                min_size=1, max_size=8),
+                                min_size=1, max_size=8)
+                        | st.sampled_from(_TRICKY_IDS),
                         min_size=1, max_size=5, unique=True))
     cohort = []
     for hid in ids:
+        T = draw(st.integers(2, 12))
         y = draw(st.lists(st.one_of(st.none(), _counts), min_size=T,
                           max_size=T).filter(
                               lambda v: sum(x is not None for x in v) >= 2))
         z = draw(st.lists(_counts, min_size=T, max_size=T))
         cohort.append(HospitalSeries(
             hid, [np.nan if v is None else v for v in y], z))
-    return cohort
+    return Cohort.from_series(cohort)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_cohorts())
+@example(cohort=Cohort.from_series([
+    HospitalSeries(hid, [1.0, 2.0, np.nan, 4.0][:n], [1.0, 2.0, 3.0, 4.0][:n])
+    for hid, n in (("a\x00", 4), ("a", 2), ("\U0001f600", 3))]))
 def test_save_load_is_identity(tmp_path, cohort):
     path = tmp_path / "cohort.csv"
     save_cohort(cohort, path)
     loaded, warnings = load_cohort(path)
     assert warnings == []
-    assert [s.id for s in loaded] == [s.id for s in cohort]
-    for s, other in zip(cohort, loaded):
-        # NaN positions are compared too: assert_array_equal matches NaNs
+    assert loaded.ids == cohort.ids
+    assert loaded.days.tolist() == cohort.days.tolist()
+    # NaN positions are compared too: assert_array_equal matches NaNs
+    for name in ("y", "z", "r"):
+        np.testing.assert_array_equal(getattr(loaded, name),
+                                      getattr(cohort, name))
+    for k in range(len(cohort)):
+        s, other = cohort[k], loaded[k]
+        assert other.id == s.id
         np.testing.assert_array_equal(other.y, s.y)
         np.testing.assert_array_equal(other.z, s.z)
+    # the CLI's order is Python's order of the ids, rows included
+    ordered, _ = cli._load({"input": str(path),
+                            "incidence_column": "incidence"})
+    assert list(ordered.ids) == sorted(cohort.ids)
+    rows = dict(zip(cohort.ids, cohort))
+    for s in ordered:
+        np.testing.assert_array_equal(s.y, rows[s.id].y)
+        np.testing.assert_array_equal(s.z, rows[s.id].z)
 
 
 def test_save_load_round_trip(tmp_path):

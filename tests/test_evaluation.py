@@ -11,8 +11,8 @@ from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
                                censor_and_recover,
                                last_point_error, sensitivity_run,
                                sliding_windows)
-from gapfit.model import HospitalSeries, predict_trajectory
-from gapfit.optimizer import FitConfig, _batch_arrays
+from gapfit.model import Cohort, HospitalSeries, predict_trajectory
+from gapfit.optimizer import FitConfig
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec
 
 from conftest import make_series
@@ -29,9 +29,9 @@ class TruthPredictor:
         self.scale = scale
 
     def predict_cohort(self, cohort):
-        y, r, z = _batch_arrays(cohort)
         _, dy_hat = predict_trajectory(
-            y, r, z * self.scale, [b.as_array() for b in self.betas])
+            cohort.y, cohort.r, cohort.z * self.scale,
+            [b.as_array() for b in self.betas])
         prev = np.array([traj[-2] for traj in self.trajectories])
         return dy_hat[:, -1], prev, np.ones(len(cohort), dtype=bool)
 
@@ -57,14 +57,14 @@ def test_perfect_predictor_scores_zero():
 
 
 def test_hospitals_without_final_report_are_excluded():
-    cohort = [make_series([2, 3, 4, None], id="a"),
-              make_series([2, 3, 4, 5], id="b")]
+    cohort = Cohort.from_series([make_series([2, 3, 4, None], id="a"),
+                                 make_series([2, 3, 4, 5], id="b")])
     report = last_point_error(cohort, BenchmarkPredictor(BenchmarkKind.ZERO))
     assert set(report.errors) == {"b"}
 
 
 def test_all_excluded_gives_empty_flagged_report():
-    cohort = [make_series([2, 3, None], id="a")]
+    cohort = Cohort.from_series([make_series([2, 3, None], id="a")])
     report = last_point_error(cohort, BenchmarkPredictor(BenchmarkKind.ZERO))
     assert report.errors == {}
     assert report.total == 0.0
@@ -72,8 +72,8 @@ def test_all_excluded_gives_empty_flagged_report():
 
 
 def test_zero_model_error_is_squared_last_increment():
-    cohort = [make_series([2, 3, 4, 7], id="a"),
-              make_series([5, 5, 5, 5], id="b")]
+    cohort = Cohort.from_series([make_series([2, 3, 4, 7], id="a"),
+                                 make_series([5, 5, 5, 5], id="b")])
     report = last_point_error(cohort, BenchmarkPredictor(BenchmarkKind.ZERO))
     assert report.errors["a"] == pytest.approx(9.0)
     assert report.errors["b"] == pytest.approx(0.0)
@@ -82,7 +82,8 @@ def test_zero_model_error_is_squared_last_increment():
 
 def test_fallback_substitution_and_count():
     # 3 days: too short for linreg (needs 4), so every hospital falls back.
-    cohort = [make_series([2, 3, 4], id="a"), make_series([3, 3, 5], id="b")]
+    cohort = Cohort.from_series([make_series([2, 3, 4], id="a"),
+                                 make_series([3, 3, 5], id="b")])
     primary = BenchmarkPredictor(BenchmarkKind.LINREG_LOCF)
     fallback = BenchmarkPredictor(BenchmarkKind.MEAN)
     report = last_point_error(cohort, primary, fallback)
@@ -92,7 +93,8 @@ def test_fallback_substitution_and_count():
 
 
 def test_summary_quantiles_use_linear_interpolation():
-    cohort = [make_series([2, 2, 2, 2 + d], id=f"h{d}") for d in (1, 2, 3, 4)]
+    cohort = Cohort.from_series([make_series([2, 2, 2, 2 + d], id=f"h{d}")
+                                 for d in (1, 2, 3, 4)])
     report = last_point_error(cohort, BenchmarkPredictor(BenchmarkKind.ZERO))
     values = sorted(report.errors.values())
     assert report.summary["median"] == pytest.approx(np.quantile(values, 0.5))
@@ -103,7 +105,8 @@ def test_summary_quantiles_use_linear_interpolation():
 
 def test_empty_cohort_rejected():
     with pytest.raises(UsageError):
-        last_point_error([], BenchmarkPredictor(BenchmarkKind.ZERO))
+        last_point_error(Cohort.from_series([]),
+                         BenchmarkPredictor(BenchmarkKind.ZERO))
 
 
 class StubPredictor:
@@ -153,7 +156,8 @@ def test_last_point_error_matches_reference_loop():
         y[:, 0] = rng.uniform(0.0, 1e3, K)
         if trial % 10 == 0:
             y[:, -1] = np.nan  # nobody reported on the final day
-        cohort = [make_series(row, id=f"h{k}") for k, row in enumerate(y)]
+        cohort = Cohort.from_series([make_series(row, id=f"h{k}")
+                                     for k, row in enumerate(y)])
 
         def stub(tag):
             ok = rng.random(K) < rng.uniform(0.0, 1.0)
@@ -221,8 +225,9 @@ def test_sensitivity_report_structure():
 def test_window_that_scored_nobody_is_nan_and_flagged():
     # day 6 is unreported by both hospitals, so window 1 (days 1-6) scores
     # nobody; it used to count as an improvement of exactly 0.0
-    cohort = [make_series([2, 3, 5, 6, 8, None, 9, 11], id="a"),
-              make_series([4, 4, 5, 7, 7, None, 8, 9], id="b")]
+    cohort = Cohort.from_series([
+        make_series([2, 3, 5, 6, 8, None, 9, 11], id="a"),
+        make_series([4, 4, 5, 7, 7, None, 8, 9], id="b")])
     specs = [SharingSpec()]
     report = sensitivity_run(cohort, specs, FitConfig(steps=20),
                              window_length=6)
@@ -240,7 +245,7 @@ def test_window_that_scored_nobody_is_nan_and_flagged():
 
 def test_sensitivity_empty_cohort_rejected():
     with pytest.raises(UsageError, match="cohort must be nonempty"):
-        sensitivity_run([], [SharingSpec()])
+        sensitivity_run(Cohort.from_series([]), [SharingSpec()])
 
 
 def _reference_sensitivity(cohort, sharing_specs, config,
@@ -257,11 +262,13 @@ def _reference_sensitivity(cohort, sharing_specs, config,
         wcohort = []
         for s in cohort:
             try:
-                wcohort.append(s.window(w.start, w.end))
+                wcohort.append(HospitalSeries(s.id, s.y[w.start - 1:w.end],
+                                              s.z[w.start - 1:w.end]))
             except InsufficientDataError:
                 flags.append(f"window {w.start}: {s.id} has no reports, dropped")
         skip = "empty" if not wcohort else None
         if wcohort:
+            wcohort = Cohort.from_series(wcohort)
             base_report = last_point_error(wcohort, baseline_predictor)
             if not base_report.errors:
                 skip = f"{base_report.model} scored no hospital"
@@ -297,7 +304,7 @@ def _gapped_cohort(rng, K, T):
     for k in np.flatnonzero(~np.isfinite(y).any(axis=1)):
         y[k, int(rng.integers(0, T))] = 30.0
     z = rng.uniform(20.0, 400.0, (K, T))
-    return [HospitalSeries(f"h{k}", y[k], z[k]) for k in range(K)]
+    return Cohort([f"h{k}" for k in range(K)], y, z)
 
 
 def test_sensitivity_matches_per_spec_reference_loop():
@@ -355,12 +362,11 @@ def test_sensitivity_fits_each_window_spec_through_fit_shared(monkeypatch):
     config = FitConfig(steps=5, auto_eta=True, warm_start=True)
     report = sensitivity_run(cohort, ALL_SHARING_SPECS, config,
                              window_length=9)
-    y, r, _ = _batch_arrays(cohort)
     usable = []
     for i, w in enumerate(report.windows):
         if np.isnan(report.rows[0].diffs[i]):
             continue
-        days = r[:, w.start - 1:w.end]
+        days = cohort.r[:, w.start - 1:w.end]
         usable.append(int((days[:, :-1].sum(axis=1) >= 2).sum()))
     assert len(usable) >= 4
     assert calls["jacobi_etas"] == calls["warm_start_inits"] == len(usable)
@@ -383,13 +389,13 @@ def test_censor_spec_validation():
 
 
 def test_censor_requires_complete_cohort():
-    cohort = [make_series([2, None, 4, 5], id="a")]
+    cohort = Cohort.from_series([make_series([2, None, 4, 5], id="a")])
     with pytest.raises(UsageError):
         censor_and_recover(cohort, CensorSpec(rate=0.25))
 
 
 def test_censor_retention_constraint():
-    cohort = [make_series([2, 3, 4], id="a")]
+    cohort = Cohort.from_series([make_series([2, 3, 4], id="a")])
     with pytest.raises(UsageError):
         censor_and_recover(cohort, CensorSpec(rate=0.9))
 
@@ -458,8 +464,8 @@ def test_censor_reports_reproducible():
 
 
 def test_increment_predictor_marks_unusable_hospitals():
-    cohort = [make_series([2, None, None, 4], id="thin"),
-              make_series([2, 3, 4, 5], id="ok")]
+    cohort = Cohort.from_series([make_series([2, None, None, 4], id="thin"),
+                                 make_series([2, 3, 4, 5], id="ok")])
     pred = IncrementPredictor(config=FitConfig(steps=50))
     _, _, ok = pred.predict_cohort(cohort)
     assert not ok[0]  # only one report before the final day

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from gapfit.benchmarks import fit_linreg_locf
 from gapfit.errors import GapfitError, InsufficientDataError, UsageError
 from gapfit.evaluation import IncrementPredictor
-from gapfit.model import (Beta, HospitalSeries, _bridge, expand_gap, loss,
-                          predict_trajectory)
+from gapfit.model import (Beta, Cohort, HospitalSeries, _bridge, expand_gap,
+                          loss, predict_trajectory)
 from gapfit.optimizer import FitConfig
 
 from conftest import make_series, random_gapped_series
@@ -36,15 +36,82 @@ def test_series_mask_derived_from_nan():
     assert s.n_reports == 2
 
 
+# -- Cohort invariants ------------------------------------------------------
+
+def test_cohort_validation():
+    # the checks of test_series_validation, on the second row of a cohort
+    cases = [
+        (InsufficientDataError, [1.0], [1.0]),  # T < 2
+        (UsageError, [1.0, 2.0], [1.0, np.nan]),  # z must be complete
+        (UsageError, [1.0, 2.0], [1.0, -2.0]),  # z nonnegative
+        (UsageError, [-1.0, 2.0], [1.0, 1.0]),  # y nonnegative
+        (InsufficientDataError, [np.nan, np.nan], [1.0, 1.0]),  # no report
+    ]
+    for error, y, z in cases:
+        n = len(y)
+        with pytest.raises(GapfitError, match="'b'") as info:
+            Cohort(["a", "b"], [[1.0, 2.0], y + [5.0] * (2 - n)],
+                   [[1.0, 1.0], z + [1.0] * (2 - n)], days=[2, n])
+        assert type(info.value) is error
+    for y, z, days in [([[1.0, 2.0]], [[1.0]], None),  # shape mismatch
+                       ([1.0, 2.0], [1.0, 1.0], None),  # not (K, T)
+                       ([[1.0, 2.0]], [[1.0, 1.0]], [3]),  # past y's days
+                       ([[1.0, 2.0]], [[1.0, 1.0]], [2, 2])]:  # one per row
+        with pytest.raises(UsageError):
+            Cohort(["a"], y, z, days)
+
+
+def test_cohort_pads_and_returns_rows_as_series():
+    a = make_series([2, None, 4], z=[1, 2, 3], id="a")
+    b = make_series([None, 5, 6, 8, None], z=[4, 3, 2, 1, 0.5], id="b")
+    c = Cohort.from_series([a, b])
+    assert c.ids == ("a", "b") and len(c) == 2
+    assert c.days.tolist() == [3, 5]
+    assert c.y.shape == c.z.shape == c.r.shape == (2, 5)
+    # right-padded with NaN reports and zero incidence
+    assert np.isnan(c.y[0, 3:]).all() and c.z[0, 3:].tolist() == [0.0, 0.0]
+    assert c.n_reports.tolist() == [2, 3]
+    for s, row in zip((a, b), c):
+        assert isinstance(row, HospitalSeries) and row.id == s.id
+        assert row.y.tobytes() == s.y.tobytes()
+        assert row.z.tobytes() == s.z.tobytes()
+    assert c[-1].id == "b"
+    with pytest.raises(IndexError):
+        c[2]
+    with pytest.raises(ValueError):
+        c.y[0, 0] = 1.0  # read-only
+    # values past a row's days are not part of it
+    d = Cohort(["a"], [[1.0, 2.0, -3.0]], [[1.0, 1.0, np.inf]], days=[2])
+    assert d.y.shape == (1, 2) and d.days.tolist() == [2]
+
+
+def test_cohort_T_names_the_first_row_of_another_length():
+    c = Cohort.from_series([make_series([1, 2, 3, 4, 5], id="a"),
+                            make_series([1, 2, 3, 4, 5, 6], id="b"),
+                            make_series([1, 2, 3, 4, 5, 6], id="c")])
+    with pytest.raises(UsageError, match="'b' has 6 days, 'a' has 5"):
+        c.T
+    assert c.take([1, 2]).T == 6
+    assert c.take([2, 0]).ids == ("c", "a")
+    assert c.take(np.array([True, False, False])).T == 5
+
+
 def test_window_is_a_copy():
-    s = make_series([2, 3, 4, 5], z=[1, 2, 3, 4])
-    w = s.window(2, 4)
-    assert list(w.y) == [3, 4, 5]
-    assert list(w.z) == [2, 3, 4]
-    t = s.window(1, 2)
-    assert list(t.y) == [2, 3]
-    s.y[0] = 9.0
-    assert t.y[0] == 2.0
+    y = np.array([[2.0, 3.0, 4.0, 5.0], [1.0, np.nan, 2.0, np.nan]])
+    z = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    c = Cohort(["a", "b"], y, z, days=[4, 3])
+    w = c.window(2, 4)
+    assert list(w.y[0]) == [3, 4, 5]
+    assert list(w.z[0]) == [2, 3, 4]
+    # a row ending before the window does keeps its own days
+    assert w.days.tolist() == [3, 2] and w[1].y[1:].tolist() == [2.0]
+    t = c.window(1, 2)
+    assert list(t.y[0]) == [2, 3]
+    y[0, 0] = 9.0
+    assert c.y[0, 0] == t.y[0, 0] == 2.0
+    assert not np.shares_memory(t.y, c.y)
+    with pytest.raises(InsufficientDataError, match="'b'"):
+        c.window(3, 4)  # b keeps one day
 
 
 # -- loss -------------------------------------------------------------------
@@ -154,7 +221,8 @@ def _bridge_rows(cohort, betas, T):
     y_tilde = np.full((len(cohort), T), np.nan)
     dy_hat = np.full((len(cohort), T), np.nan)
     for k, (s, beta) in enumerate(zip(cohort, betas)):
-        first, states, preds = _bridge(s, beta)
+        first, states, preds = _bridge(s.y.tolist(), s.z.tolist(),
+                                       s.r.tolist(), beta)
         y_tilde[k, first:s.T] = states
         dy_hat[k, first + 1:s.T] = preds
     return y_tilde, dy_hat
@@ -263,7 +331,8 @@ def test_predict_last_increment_intercept_only():
 
 
 def test_predict_last_increment_requires_two_reports_before_T():
-    cohort = [make_series([2, None, 4]), make_series([2, 3, 4])]
+    cohort = Cohort.from_series([make_series([2, None, 4]),
+                                 make_series([2, 3, 4])])
     _, _, ok = IncrementPredictor(config=FitConfig(steps=5)).predict_cohort(
         cohort)
     assert ok.tolist() == [False, True]
@@ -273,11 +342,11 @@ def test_predict_last_increment_consistent_with_trajectory():
     rng = np.random.Generator(np.random.PCG64(21))
     for _ in range(20):
         s = random_gapped_series(rng, T=12)
-        if s.window(1, s.T - 1).n_reports < 2:
+        if s.r[:-1].sum() < 2:
             continue
         beta = Beta(*rng.uniform(-0.3, 0.3, 3))
         inc = _one_row(s, beta)[1][-1]
-        prev = _one_row(s.window(1, s.T - 1), beta)[0][-1]
+        prev = _one_row(HospitalSeries(s.id, s.y[:-1], s.z[:-1]), beta)[0][-1]
         assert inc == pytest.approx(
             beta.b1 + beta.b2 * prev + beta.b3 * s.z[s.T - 2], rel=1e-12)
 

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
-from gapfit.model import Beta, HospitalSeries, loss
-from gapfit.optimizer import (FitConfig, _batch_arrays, _judge_convergence,
+from gapfit.model import Beta, Cohort, HospitalSeries, loss
+from gapfit.optimizer import (FitConfig, _judge_convergence,
                               _Residuals, _loss_grad_batch, _loss_grad_tape,
                               detect_divergence, fit, fit_cohort, jacobi_etas,
                               l2_penalty, warm_start_inits)
@@ -291,7 +291,8 @@ def test_fit_does_not_mutate_series():
 
 def test_fit_cohort_matches_single_fits():
     rng = np.random.Generator(np.random.PCG64(77))
-    cohort = [random_gapped_series(rng, T=16, id=f"c{i}") for i in range(6)]
+    cohort = Cohort.from_series([random_gapped_series(rng, T=16, id=f"c{i}")
+                                 for i in range(6)])
     config = FitConfig(steps=200)
     batch = fit_cohort(cohort, config)
     for s, res in zip(cohort, batch):
@@ -301,7 +302,8 @@ def test_fit_cohort_matches_single_fits():
 
 
 def test_fit_cohort_rejects_single_report_series():
-    cohort = [make_series([2, 3, 4]), make_series([None, 5, None])]
+    cohort = Cohort.from_series([make_series([2, 3, 4]),
+                                 make_series([None, 5, None])])
     with pytest.raises(InsufficientDataError):
         fit_cohort(cohort, FitConfig())
 
@@ -314,9 +316,10 @@ def test_l2_shrinks_parameters(anchor_series):
 
 def test_warm_start_inits_match_locf_ols():
     rng = np.random.Generator(np.random.PCG64(83))
-    cohort = [random_gapped_series(rng, T=20, id=f"i{i}") for i in range(4)]
+    cohort = Cohort.from_series([random_gapped_series(rng, T=20, id=f"i{i}")
+                                 for i in range(4)])
     config = FitConfig(incidence_scale=1.0)
-    inits = warm_start_inits(*_batch_arrays(cohort), config)
+    inits = warm_start_inits(cohort.y, cohort.r, cohort.z, config)
     for k, s in enumerate(cohort):
         expected = fit_linreg_locf(locf_impute(s.y)[None], s.z[None])[0][0]
         assert inits[k] == pytest.approx(expected, rel=1e-12)
@@ -324,7 +327,8 @@ def test_warm_start_inits_match_locf_ols():
 
 def test_jacobi_etas_and_warm_starts_match_per_series_loops():
     rng = np.random.Generator(np.random.PCG64(47))
-    cohort = [random_gapped_series(rng, T=25, id=f"w{i}") for i in range(30)]
+    cohort = Cohort.from_series([random_gapped_series(rng, T=25, id=f"w{i}")
+                                 for i in range(30)])
     config = FitConfig(incidence_scale=0.01, eta_safety=0.15)
     etas = np.empty((len(cohort), 3))
     inits = np.empty((len(cohort), 3))
@@ -335,8 +339,7 @@ def test_jacobi_etas_and_warm_starts_match_per_series_loops():
         h = 2.0 * np.einsum("ij,ij->j", x, x) / (s.T - 1)
         etas[k] = config.eta_safety / np.maximum(h, 1e-12)
         inits[k] = fit_linreg_locf(y[None], z[None])[0][0]
-    y, r, z = _batch_arrays(cohort)
-    z = z * config.incidence_scale
+    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
     np.testing.assert_array_equal(jacobi_etas(y, r, z, config), etas)
     np.testing.assert_array_equal(warm_start_inits(y, r, z, config), inits)
     # too short for the regression: every row starts at config.init
@@ -348,8 +351,9 @@ def test_jacobi_etas_and_warm_starts_match_per_series_loops():
 
 def test_jacobi_etas_shape_and_positivity():
     rng = np.random.Generator(np.random.PCG64(91))
-    cohort = [random_gapped_series(rng, T=20, id=f"j{i}") for i in range(5)]
-    arrays = _batch_arrays(cohort)
+    cohort = Cohort.from_series([random_gapped_series(rng, T=20, id=f"j{i}")
+                                 for i in range(5)])
+    arrays = cohort.y, cohort.r, cohort.z
     etas = jacobi_etas(*arrays, FitConfig(eta_safety=0.2))
     assert etas.shape == (5, 3)
     assert np.all(etas > 0)

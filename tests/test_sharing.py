@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gapfit.errors import UsageError
-from gapfit.optimizer import (FitConfig, _batch_arrays, _loss_grad_batch,
-                              _Residuals, fit, jacobi_etas)
+from gapfit.model import Cohort
+from gapfit.optimizer import (FitConfig, _loss_grad_batch, _Residuals, fit,
+                              jacobi_etas)
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
 from conftest import make_series, random_gapped_series
@@ -11,7 +12,8 @@ from conftest import make_series, random_gapped_series
 
 def _cohort(seed, n=5, T=20):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return [random_gapped_series(rng, T=T, id=f"h{i}") for i in range(n)]
+    return Cohort.from_series([random_gapped_series(rng, T=T, id=f"h{i}")
+                               for i in range(n)])
 
 
 def test_spec_validation_and_labels():
@@ -61,8 +63,9 @@ def test_shared_dims_equal_after_every_step():
 
 def test_identical_hospitals_fully_shared_equals_single_fit():
     base = make_series([4, 5, 5, 7, 8], z=[1, 2, 1, 3, 2])
-    cohort = [make_series([4, 5, 5, 7, 8], z=[1, 2, 1, 3, 2], id=f"t{i}")
-              for i in range(4)]
+    cohort = Cohort.from_series([
+        make_series([4, 5, 5, 7, 8], z=[1, 2, 1, 3, 2], id=f"t{i}")
+        for i in range(4)])
     config = FitConfig(steps=120)
     joint = fit_shared(cohort, SharingSpec(frozenset({1, 2, 3})), config)
     single = fit(base, config)
@@ -76,7 +79,8 @@ def test_permutation_invariance():
     spec = SharingSpec(frozenset({2}))
     config = FitConfig(steps=80)
     forward = fit_shared(cohort, spec, config)
-    backward = fit_shared(cohort[::-1], spec, config)
+    backward = fit_shared(cohort.take(np.arange(len(cohort))[::-1]), spec,
+                          config)
     for k, s in enumerate(cohort):
         a = forward.results[k].beta.as_array()
         b = backward.results[len(cohort) - 1 - k].beta.as_array()
@@ -84,7 +88,8 @@ def test_permutation_invariance():
 
 
 def test_underreported_hospitals_excluded_not_fatal():
-    cohort = _cohort(4, n=3) + [make_series([None, 5, None, None], id="bad")]
+    cohort = Cohort.from_series(
+        [*_cohort(4, n=3), make_series([None, 5, None, None], id="bad")])
     joint = fit_shared(cohort, SharingSpec(frozenset({1})), FitConfig(steps=40))
     assert joint.results[3] is None
     assert all(r is not None for r in joint.results[:3])
@@ -121,8 +126,7 @@ def test_shared_dimension_steps_with_the_smallest_step_size():
     config = FitConfig(steps=1, auto_eta=True)
     joint = fit_shared(cohort, SharingSpec(frozenset({2})), config,
                        record_history=True)
-    y, r, z = _batch_arrays(cohort)
-    z = z * config.incidence_scale
+    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
     etas = jacobi_etas(y, r, z, config)
     assert np.ptp(etas[:, 1]) > 0
     _, grad = _loss_grad_batch(_Residuals(y, r, z), np.zeros((4, 3)), 0.0)
@@ -132,4 +136,4 @@ def test_shared_dimension_steps_with_the_smallest_step_size():
 
 def test_empty_cohort_rejected():
     with pytest.raises(UsageError):
-        fit_shared([], SharingSpec(), FitConfig())
+        fit_shared(Cohort.from_series([]), SharingSpec(), FitConfig())

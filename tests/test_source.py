@@ -35,3 +35,55 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Where a HospitalSeries may be built: the model itself, and the two places
+# that need a one-row loss input.  Everything else holds a Cohort's arrays.
+SERIES_BUILDERS = {("model", None), ("optimizer", "_loss_grad_tape"),
+                   ("cli", "cmd_gradcheck")}
+
+
+def series_builds(source):
+    """(enclosing top-level function or class, None at module level, and
+    line) of every call that builds a HospitalSeries, by name or through
+    ``type(x)(...)``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if where is None and isinstance(child, (ast.FunctionDef,
+                                                    ast.AsyncFunctionDef,
+                                                    ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name == "HospitalSeries" or (
+                        isinstance(func, ast.Call)
+                        and getattr(func.func, "id", None) == "type"):
+                    found.append((where, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_series_build_detector():
+    source = ("x = HospitalSeries(1, 2, 3)\n"
+              "def f(s):\n    return [type(s)(s.id)]\n"
+              "class C:\n    def g(self):\n"
+              "        return m.HospitalSeries()\n")
+    assert series_builds(source) == [(None, 1), ("f", 3), ("C", 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_series_built_only_where_a_row_is_needed(path):
+    module = path.stem
+    source = path.read_text(encoding="utf-8")
+    builds = [(where, line) for where, line in series_builds(source)
+              if (module, None) not in SERIES_BUILDERS
+              and (module, where) not in SERIES_BUILDERS]
+    assert builds == []
