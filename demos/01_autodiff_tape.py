@@ -1,16 +1,18 @@
 """Reverse-mode autodiff on a tape, checked against finite differences.
 
-The optimizer in this package differentiates the masked increment loss with a
-small tape engine: every arithmetic operation on a DiffScalar records its
-parents and local partials, and one reverse sweep accumulates the full
-gradient. This demo walks through the moving parts on a toy function and then
-on the real model loss.
+The package differentiates the masked increment loss with a small tape
+engine: every arithmetic operation on a DiffScalar records its parents and
+local partials, and one reverse sweep accumulates the full gradient. A
+DiffScalar holds a float or a numpy array of independent rows, so the same
+sweep differentiates one series or a whole cohort. This demo walks through
+the moving parts on a toy function, on the real model loss, and on the row
+losses of a small cohort.
 """
 
 import numpy as np
 
 from gapfit import autodiff, check_gradient
-from gapfit.model import HospitalSeries, loss
+from gapfit.model import Cohort, HospitalSeries, loss
 
 
 def rosenbrock(v):
@@ -53,6 +55,21 @@ def main():
     # check_gradient packages that comparison with relative tolerances
     worst = check_gradient(lambda b: loss(series, b), beta)
     print(f"check_gradient: max rel discrepancy {worst:.2e}")
+    print()
+
+    # with (K,) inputs the tape holds one row per hospital: one reverse
+    # sweep gives each row of a cohort its own gradient
+    cohort = Cohort.from_series([
+        series, HospitalSeries("other", [3.0, 4.0, np.nan, 6.0],
+                               [2.0, 2.0, 1.0, 1.5])])
+    betas = np.array([beta, [0.5, 0.1, -0.2]])
+    res = autodiff.gradient(lambda b: loss(cohort, b), betas.T)
+    for k, hid in enumerate(cohort.ids):
+        print(f"{hid:>6}: loss {res.value[k]:.6f}, gradient ("
+              + ", ".join(f"{g[k]:.6f}" for g in res.gradient) + ")")
+    worst = check_gradient(lambda b: loss(cohort, b), betas.T)
+    print("check_gradient per row: "
+          + ", ".join(f"{d:.2e}" for d in worst))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -30,7 +31,7 @@ from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
                          censor_sweep, last_point_error, sensitivity_run)
-from .model import Beta, HospitalSeries, loss as model_loss, predict_trajectory
+from .model import Beta, Cohort, loss as model_loss, predict_trajectory
 from .optimizer import FitConfig
 from .sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
@@ -61,6 +62,21 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_traces(path, traces):
+    """``traces.csv`` of (hospital id, loss trace) pairs, as :func:`_write_csv`
+    writes the rows ``[id, step, _fmt(loss)]``: each id is quoted once, and
+    one ``repr`` formats a whole trace."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("hospital_id,step,loss\r\n")
+        for hid, trace in traces:
+            cell = io.StringIO()
+            csv.writer(cell).writerow([hid, ""])  # the id, "," and "\r\n"
+            hid = cell.getvalue()[:-3]
+            values = repr(list(map(float, trace)))[1:-1].split(", ")
+            fh.write("".join(f"{hid},{step},{value}\r\n"
+                             for step, value in enumerate(values)))
 
 
 def _write_json(path, payload):
@@ -99,10 +115,15 @@ def _parse_floats(text, n=None):
 
 
 def _dispatch(handler, args):
-    """Run ``handler`` after checking that every float argument is finite."""
+    """Run ``handler`` after checking that every float argument is finite
+    and that the seed is what numpy's generator takes: an integer >= 0
+    (None would seed it from the operating system)."""
     for key, value in args.items():
         if isinstance(value, float):
             _require_finite(key, value)
+    seed = args.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
     return handler(args)
 
 
@@ -182,7 +203,7 @@ def cmd_fit(args):
     spec = SharingSpec.parse(args["share"])
     cohort_fit = fit_shared(cohort, spec, config)
     param_rows = []
-    trace_rows = []
+    traces = []
     for hid, res in zip(cohort.ids, cohort_fit.results):
         if res is None:
             param_rows.append([hid, "", "", "", "false", "true", 0, ""])
@@ -198,13 +219,11 @@ def cmd_fit(args):
             "true" if res.fell_back else "false",
             res.steps_used, _fmt(res.loss_trace[-1]),
         ])
-        for step, value in enumerate(res.loss_trace):
-            trace_rows.append([hid, step, _fmt(value)])
+        traces.append((hid, res.loss_trace))
     _write_csv(_artifact(outdir, "params.csv"),
                ["hospital_id", "b1", "b2", "b3", "converged", "fell_back",
                 "steps_used", "final_loss"], param_rows)
-    _write_csv(_artifact(outdir, "traces.csv"),
-               ["hospital_id", "step", "loss"], trace_rows)
+    _write_traces(_artifact(outdir, "traces.csv"), traces)
     _write_manifest(outdir, "fit", args, ["params.csv", "traces.csv"])
     return 0
 
@@ -297,8 +316,7 @@ def cmd_gradcheck(args):
     if args["trials"] < 1:
         raise UsageError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(args["seed"]))
-    worst = 0.0
-    failures = 0
+    trials = []
     for _ in range(args["trials"]):
         T = int(rng.integers(8, 40))
         y = rng.uniform(0.0, 25.0, T)
@@ -307,13 +325,22 @@ def cmd_gradcheck(args):
         y[gaps] = np.nan
         if np.isfinite(y).sum() < 2:
             continue
-        series = HospitalSeries("gc", y, rng.uniform(0.0, 5.0, T))
-        beta = rng.uniform(-0.4, 0.4, 3)
-        disc = autodiff.check_gradient(
-            lambda b: model_loss(series, b), beta, h=1e-6)
-        worst = max(worst, disc)
-        if disc >= 1e-6:
-            failures += 1
+        trials.append((y, rng.uniform(0.0, 5.0, T), rng.uniform(-0.4, 0.4, 3)))
+    worst, failures = 0.0, 0
+    if trials:
+        # the kept trials are the rows of one right-padded cohort, each row
+        # its own problem with its own discrepancy
+        days = [len(y) for y, _, _ in trials]
+        y, z = np.zeros((2, len(trials), max(days)))
+        for k, (y_k, z_k, _) in enumerate(trials):
+            y[k, :days[k]], z[k, :days[k]] = y_k, z_k
+        cohort = Cohort(range(len(trials)), y, z, days)
+        disc = autodiff.check_gradient(lambda b: model_loss(cohort, b),
+                                       np.array([b for *_, b in trials]).T,
+                                       h=1e-6)
+        worst = float(disc.max())
+        # a NaN discrepancy, from a row that turned non-finite, fails too
+        failures = int(np.count_nonzero(~(disc < 1e-6)))
     print(f"gradcheck: {args['trials']} trials, max discrepancy {worst:.3e}, "
           f"{failures} failures")
     if args.get("output_dir"):

@@ -105,10 +105,10 @@ class IncrementPredictor:
         self.config = config if config is not None else FitConfig()
         self.tag = f"increment[{self.sharing.label}]"
 
-    def predict_cohort(self, cohort, overrides=None):
-        """``overrides``, when given, is the ``(eta, init)`` pair of the
-        cohort's :func:`_heads` (see :func:`fit_shared`)."""
-        usable, heads = _heads(cohort)
+    def predict_cohort(self, cohort, heads=None):
+        """``heads``, when given, is the cohort's :func:`_heads`, so that a
+        caller predicting one cohort under several specs builds it once."""
+        usable, heads, overrides = heads or _heads(cohort, self.config)
         beta = np.zeros((len(cohort), 3))
         ok = np.zeros(len(cohort), dtype=bool)
         if len(usable):
@@ -122,11 +122,15 @@ class IncrementPredictor:
         return dy_hat[:, -1], y_tilde[:, -2], ok
 
 
-def _heads(cohort):
+def _heads(cohort, config):
     """The rows with the 2 reports before the final day that a fit needs,
-    and the cohort of those rows without the final day."""
+    the cohort of those rows without the final day, and its ``(eta, init)``
+    pair under ``config`` (see :func:`fit_shared`)."""
     usable = np.flatnonzero(cohort.r[:, :-1].sum(axis=1) >= 2)
-    return usable, cohort.take(usable).window(1, cohort.T - 1)
+    heads = cohort.take(usable).window(1, cohort.T - 1)
+    return usable, heads, (_resolve_overrides(
+        heads.y, heads.r, heads.z * config.incidence_scale, config)
+        if len(heads) else None)
 
 
 def last_point_error(cohort, predictor, fallback_predictor=None):
@@ -254,13 +258,10 @@ def sensitivity_run(cohort, sharing_specs, config=None,
                 per_spec_diffs[spec.label].append(float("nan"))
             continue
         fallback_outcome = fallback.predict_cohort(part)
-        heads = _heads(part)[1]
-        overrides = (_resolve_overrides(heads.y, heads.r,
-                                        heads.z * config.incidence_scale,
-                                        config) if len(heads) else None)
+        heads = _heads(part, config)
         for spec, predictor in zip(sharing_specs, predictors):
             model_report = _score(predictor.tag, part,
-                                  predictor.predict_cohort(part, overrides),
+                                  predictor.predict_cohort(part, heads),
                                   fallback_outcome)
             per_spec_diffs[spec.label].append(base_report.total
                                               - model_report.total)

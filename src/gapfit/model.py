@@ -11,14 +11,11 @@ are thereby bridged by carrying the model forward instead of imputing, and the
 loss scores only days with an actual report.
 
 A :class:`Cohort` holds K hospitals as one record of (K, T) arrays, the one
-form of a cohort; a :class:`HospitalSeries` is one row, the input of
-:func:`loss`.
+form of a cohort; a :class:`HospitalSeries` is one row.
 
-The recursion is written twice, once per number type.
-:func:`predict_trajectory` is the float bridge: one day loop over a whole
-(K, T) cohort, which every float consumer calls.  :func:`_bridge` walks one
-series in plain Python so that it also runs on DiffScalars; only :func:`loss`
-uses it, as the reference the tape engine differentiates.
+The recursion is written once, as the day step :func:`_day`: over a (K, T)
+cohort of floats in :func:`predict_trajectory`, and in :func:`loss` over one
+series or a cohort, on floats or on the tape values that differentiate it.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff
 from .errors import InsufficientDataError, UsageError
 
 __all__ = ["HospitalSeries", "Cohort", "Beta", "loss", "predict_trajectory",
@@ -202,56 +200,54 @@ def _coefs(beta):
     return b1, b2, b3
 
 
-def _bridge(y, z, r, beta):
-    """Run the carry-forward recursion once over one series' days, given as
-    lists (plain floats keep numpy scalar types out of DiffScalar arithmetic).
+def _day(state, y, r, z_prev, b1, b2, b3):
+    """The predicted increment into a day, from the previous day's ``state``
+    and incidence, and the day's state: the report ``y`` where ``r`` holds,
+    else the carried state.  Floats, arrays and DiffScalars alike."""
+    pred = b1 + b2 * state + b3 * z_prev
+    return pred, autodiff.where(r, y, state + pred)
 
-    Returns ``(first, states, preds)``: ``first`` is the 0-based first
-    reported day, ``states[i]`` the bridged state on day ``first + i`` and
-    ``preds[i]`` the predicted increment into day ``first + 1 + i``.  Works on
-    plain floats and DiffScalars alike; :func:`loss` is its only caller.
+
+def loss(rows, beta):
+    """Masked mean squared error of predicted increments, per row.
+
+    ``rows`` is a :class:`HospitalSeries`, or a :class:`Cohort` whose (K,)
+    row losses are returned.  Leading missing days are skipped; from a row's
+    first report to its last the model predicts each day's increment, scores
+    the squared residual on reported days, and carries its own prediction
+    forward on missing days.  Returns the summed squared error divided by the
+    number of scored residuals.  ``beta`` holds the three coefficients,
+    floats or (K,) columns, plain or DiffScalars.
     """
-    b1, b2, b3 = _coefs(beta)
-    first = r.index(True)
-    state = y[first]
-    states = [state]
-    preds = []
-    for t in range(first + 1, len(y)):
-        pred = b1 + b2 * state + b3 * z[t - 1]
-        state = y[t] if r[t] else state + pred
-        states.append(state)
-        preds.append(pred)
-    return first, states, preds
-
-
-def loss(series, beta):
-    """Masked mean squared error of predicted increments.
-
-    Leading missing days are skipped; from the first report to the last the
-    model predicts each day's increment, scores the squared residual on
-    reported days, and carries its own prediction forward on missing days.
-    Returns the summed squared error divided by the number of scored
-    residuals.
-
-    ``beta`` may hold plain floats or DiffScalars, so the same code serves as
-    the differentiated loss.
-    """
-    if series.n_reports < 2:
+    ids = rows.ids if isinstance(rows, Cohort) else [rows.id]
+    short = np.flatnonzero(np.atleast_1d(rows.n_reports) < 2)
+    if short.size:
         raise InsufficientDataError(
-            f"series {series.id!r} has fewer than 2 reports")
-    # Nothing is scored after the last report, so the bridge stops there.
-    stop = series.T - int(np.argmax(series.r[::-1]))
-    y, z, r = (a[:stop].tolist() for a in (series.y, series.z, series.r))
-    first, states, preds = _bridge(y, z, r, beta)
-    y, r = y[first + 1:], r[first + 1:]
+            f"series {ids[short[0]]!r} has fewer than 2 reports")
+    b1, b2, b3 = _coefs(beta)
+    y, r, z = rows.y, rows.r, rows.z
+    days = np.arange(y.shape[-1])
+    first = r.argmax(axis=-1)[..., None]
+    last = y.shape[-1] - 1 - r[..., ::-1].argmax(axis=-1)[..., None]
+    # before a row's first report and after its last, nothing is scored and
+    # the state rests on that report, so padded rows stay finite
+    scored = r & (days > first)
+    reset = r | (days < first) | (days > last)
+    y = np.where(r, y, np.take_along_axis(
+        y, np.where(days < first, first, last), -1))
+    count = scored.sum(axis=-1)
+    # day by day: the columns of a cohort, the plain numbers of one series
+    y, z, reset, scored = (np.ascontiguousarray(a.T) if a.ndim > 1
+                           else a.tolist() for a in (y, z, reset, scored))
+    state = y[0]
     sqerror = 0.0
-    contribno = 0
-    for yt, rt, prev, pred in zip(y, r, states, preds):
-        if rt:
-            diff = pred - (yt - prev)
-            sqerror = sqerror + diff * diff
-            contribno += 1
-    return sqerror / contribno
+    for y_t, z_prev, reset_t, scored_t in zip(y[1:], z[:-1], reset[1:],
+                                              scored[1:]):
+        pred, carried = _day(state, y_t, reset_t, z_prev, b1, b2, b3)
+        diff = pred - (y_t - state)
+        sqerror = sqerror + autodiff.where(scored_t, diff * diff, 0.0)
+        state = carried
+    return sqerror / count
 
 
 def predict_trajectory(y, r, z, beta):
@@ -275,10 +271,9 @@ def predict_trajectory(y, r, z, beta):
     state = np.where(r[:, 0], y[:, 0], np.nan)
     y_tilde[:, 0] = state
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, y.shape[1]):
-            pred = b1 + b2 * state + b3 * z[:, t - 1]
-            state = np.where(r[:, t], y[:, t], state + pred)
-            dy_hat[:, t] = pred
+        for t, y_t, r_t, z_prev in zip(range(1, y.shape[1]), y.T[1:],
+                                       r.T[1:], z.T):
+            dy_hat[:, t], state = _day(state, y_t, r_t, z_prev, b1, b2, b3)
             y_tilde[:, t] = state
     return y_tilde, dy_hat
 

@@ -18,8 +18,9 @@ kernels with the same contract:
   d(state)/d(beta).  The test suite pins this kernel against the tape engine
   and against finite differences.
 * ``tape``: the reverse-mode autodiff engine from :mod:`gapfit.autodiff`,
-  differentiating :func:`gapfit.model.loss` row by row.  It is the reference
-  the batch kernel is checked against.
+  differentiating :func:`gapfit.model.loss` of the whole cohort in one
+  reverse sweep over (K,) tape values.  It is the reference the batch kernel
+  is checked against.
 
 Both engines are deterministic, and a hospital's result does not depend on
 which other hospitals share its batch: identical inputs produce bit-identical
@@ -34,8 +35,8 @@ from functools import partial
 import numpy as np
 
 from . import autodiff
-from .errors import EvaluationError, InsufficientDataError, UsageError
-from .model import Beta, Cohort, HospitalSeries, loss as model_loss
+from .errors import InsufficientDataError, UsageError
+from .model import Beta, Cohort, loss as model_loss
 
 __all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "l2_penalty",
            "detect_divergence", "jacobi_etas", "warm_start_inits"]
@@ -173,9 +174,9 @@ def _loss_grad_batch(res, beta, lam):
 
     ``res`` is the cohort's :class:`_Residuals` and ``beta`` is (K, 3).  Gap
     segments carry the bridged state and its forward sensitivities
-    d(state)/d(beta), exactly the derivative of the executed path of the
-    scalar loss.  A row whose loss or gradient is non-finite gets NaN, as
-    from the tape engine.  Returns (loss (K,), grad (K, 3)).
+    d(state)/d(beta), exactly the derivative of the executed path of
+    :func:`gapfit.model.loss`.  A row whose loss or gradient is non-finite
+    gets NaN, as from the tape engine.  Returns (loss (K,), grad (K, 3)).
     """
     K = beta.shape[0]
     b1, b2, b3 = beta[:, 0:1], beta[:, 1:2], beta[:, 2:3]
@@ -225,31 +226,21 @@ def _loss_grad_batch(res, beta, lam):
 
 
 def _loss_grad_tape(y, z, beta, lam):
-    """Same contract as :func:`_loss_grad_batch`, from the scalar loss on a tape.
+    """Same contract as :func:`_loss_grad_batch`, from the loss on a tape.
 
     Takes the cohort's (K, T) ``y`` and ``z`` in place of the layout and
-    differentiates :func:`gapfit.model.loss` (plus the L2 penalty) one hospital
-    at a time; a hospital whose evaluation turns non-finite gets NaN.
+    differentiates :func:`gapfit.model.loss` (plus the L2 penalty) of every
+    row in one reverse sweep over (K,) tape values; a row whose evaluation
+    turns non-finite gets NaN.
     """
-    K = y.shape[0]
-    lossv = np.full(K, np.nan)
-    grad = np.full((K, 3), np.nan)
-    for k in range(K):
-        series = HospitalSeries(k, y[k], z[k])
+    rows = Cohort(range(len(y)), y, z)
 
-        def objective(b):
-            val = model_loss(series, b)
-            if lam > 0.0:
-                val = val + l2_penalty(b, lam)
-            return val
+    def objective(b):
+        val = model_loss(rows, b)
+        return val + l2_penalty(b, lam) if lam > 0.0 else val
 
-        try:
-            res = autodiff.gradient(objective, beta[k])
-        except EvaluationError:
-            continue
-        lossv[k] = res.value
-        grad[k] = res.gradient
-    return lossv, grad
+    res = autodiff.gradient(objective, beta.T)
+    return res.value, np.stack(res.gradient, axis=1)
 
 
 def _per_row(values, K):

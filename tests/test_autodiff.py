@@ -192,3 +192,61 @@ def test_check_gradient_deep_composition():
 def test_check_gradient_rejects_nonpositive_h():
     with pytest.raises(ValueError):
         check_gradient(lambda x: x[0], [1.0], h=0.0)
+
+
+# -- array values -----------------------------------------------------------
+
+def test_where_picks_a_branch_or_records_masked_partials():
+    tape = Tape()
+    a = _node(tape, 2.0)
+    assert autodiff.where(True, a, 5.0) is a
+    assert autodiff.where(np.bool_(False), a, 5.0) == 5.0
+    assert len(tape) == 1
+    cond = np.array([True, False, True])
+    assert autodiff.where(cond, 1.0, np.array([4.0, 5.0, 6.0])).tolist() == \
+        [1.0, 5.0, 1.0]
+    res = gradient(lambda v: autodiff.where(cond, v[0] * v[1], v[1]),
+                   [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert res.value.tolist() == [4.0, 5.0, 18.0]
+    assert res.gradient[0].tolist() == [4.0, 0.0, 6.0]
+    assert res.gradient[1].tolist() == [1.0, 1.0, 3.0]
+
+
+def test_array_rows_get_their_own_gradients():
+    def f(v):
+        x, c = v
+        return autodiff.square(x) * c - 3.0 * x / c + autodiff.exp(x)
+
+    xs, cs = np.array([0.5, -1.0, 2.0]), np.array([1.5, 2.0, -0.5])
+    res = gradient(f, [xs, cs])
+    for k in range(3):
+        one = gradient(f, [xs[k], cs[k]])
+        assert res.value[k] == pytest.approx(one.value, rel=1e-15)
+        assert [g[k] for g in res.gradient] == pytest.approx(one.gradient,
+                                                             rel=1e-15)
+    disc = check_gradient(f, [xs, cs])
+    assert disc.shape == (3,) and disc.max() < 1e-8
+
+
+def test_inputs_and_output_share_one_shape():
+    rows = np.array([1.0, 2.0, 4.0])
+    with pytest.raises(ValueError):
+        gradient(lambda v: v[0] * rows, [3.0])
+    with pytest.raises(ValueError):
+        gradient(lambda v: v[0] + v[1], [3.0, rows])
+
+
+def test_non_finite_rows_turn_nan_and_spare_the_others():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = gradient(lambda v: 1.0 / v[0] + v[1] * v[0],
+                       [[0.0, 2.0, np.inf], [1.0, 3.0, 0.0]])
+    assert np.isnan(res.value[[0, 2]]).all()
+    assert res.value[1] == 6.5
+    assert np.isnan(res.gradient[0][[0, 2]]).all()
+    assert res.gradient[0][1] == pytest.approx(-0.25 + 3.0)
+    assert res.gradient[1][1] == 2.0
+    # a finite value whose derivative overflows fails its row too
+    with np.errstate(over="ignore"):
+        res = gradient(lambda v: autodiff.log(v[0]), [[5e-324, 1.0]])
+    assert np.isnan(res.value[0]) and np.isnan(res.gradient[0][0])
+    assert res.value[1] == 0.0 and res.gradient[0][1] == 1.0

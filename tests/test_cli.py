@@ -2,12 +2,14 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from gapfit import cli
+from gapfit import autodiff, cli
 from gapfit.cli import main
 from gapfit.errors import (EvaluationError, GapfitError, InsufficientDataError,
                            ParseError, TapeMismatchError, UsageError)
+from gapfit.model import HospitalSeries, loss
 
 
 def _run(*argv):
@@ -174,6 +176,91 @@ def test_censor_emits_block_per_rate(tmp_path):
 def test_gradcheck_runs_and_rejects_zero_trials(tmp_path):
     assert _run("gradcheck", "--trials", "25", "--seed", "3") == 0
     assert _run("gradcheck", "--trials", "0") == 2
+
+
+def _reference_gradcheck(trials, seed):
+    """The per-trial loop ``gradcheck`` replaced, kept as oracle: the kept
+    trials' coefficients and discrepancies, and the failure count."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    betas, discs = [], []
+    for _ in range(trials):
+        T = int(rng.integers(8, 40))
+        y = rng.uniform(0.0, 25.0, T)
+        gaps = rng.random(T) < 0.25
+        gaps[0] = False
+        y[gaps] = np.nan
+        if np.isfinite(y).sum() < 2:
+            continue
+        series = HospitalSeries("gc", y, rng.uniform(0.0, 5.0, T))
+        beta = rng.uniform(-0.4, 0.4, 3)
+        betas.append(beta)
+        discs.append(autodiff.check_gradient(
+            lambda b: loss(series, b), beta, h=1e-6))
+    return betas, discs, sum(d >= 1e-6 for d in discs)
+
+
+# seed 158 skips its trial 888, which has one report
+@pytest.mark.parametrize("trials, seed", [(200, s) for s in range(10)]
+                         + [(1, s) for s in range(10)] + [(900, 158)])
+def test_gradcheck_matches_per_trial_reference(tmp_path, monkeypatch, trials,
+                                               seed):
+    betas, discs, failures = _reference_gradcheck(trials, seed)
+    checked = []
+
+    def recorded(f, x, h):
+        disc = check_gradient(f, x, h)
+        checked.append((x, disc))
+        return disc
+
+    check_gradient = autodiff.check_gradient
+    monkeypatch.setattr(autodiff, "check_gradient", recorded)
+    assert _run("gradcheck", "--trials", str(trials), "--seed", str(seed),
+                "--output-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "gradcheck.json").read_text())
+    assert (trials, seed) != (900, 158) or len(betas) == trials - 1
+    (x, disc), = checked
+    assert np.array_equal(x, np.array(betas).T)
+    np.testing.assert_allclose(disc, discs, rtol=0.0, atol=1e-12)
+    assert report["trials"] == trials
+    assert report["failures"] == failures
+    assert abs(report["max_discrepancy"] - max(discs)) <= 1e-12
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("simulate", -1), ("censor", -1), ("gradcheck", -1), ("rerun", -1),
+    ("rerun", "3"), ("rerun", 1.5), ("rerun", None), ("rerun", True)])
+def test_bad_seed_exits_2_before_writing(tmp_path, capsys, command, seed):
+    outdir = tmp_path / "out"
+    if command == "rerun":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "gradcheck",
+            "args": {"trials": 5, "seed": seed, "output_dir": str(outdir)}}))
+        argv = ["rerun", str(manifest)]
+    else:
+        argv = [command, "--seed", str(seed), "--output-dir", str(outdir)]
+        if command == "censor":
+            cohort = _simulate(tmp_path, extra=("--complete",))
+            argv += ["--input", str(cohort / "cohort.csv")]
+    assert _run(*argv) == 2
+    assert ("seed must be a non-negative integer, got " + repr(seed)
+            in capsys.readouterr().err)
+    assert not outdir.exists()
+
+
+def test_traces_are_written_as_csv_writes_them(tmp_path):
+    ids = ["a,b", 'say "hi"', "cr\rlf\n", " spaced ", "", "plain", "\u00e9"]
+    traces = [(hid, [1.5, float("nan"), -0.0, 1e-300, float("inf")][:k + 1])
+              for k, hid in enumerate(ids)]
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hospital_id", "step", "loss"])
+        writer.writerows([hid, step, repr(v)] for hid, trace in traces
+                         for step, v in enumerate(trace))
+    got = tmp_path / "got.csv"
+    cli._write_traces(got, traces)
+    assert _read(got) == _read(want)
 
 
 def test_predict_bridges_and_forecasts(tmp_path):

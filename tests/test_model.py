@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf
 from gapfit.errors import GapfitError, InsufficientDataError, UsageError
 from gapfit.evaluation import IncrementPredictor
-from gapfit.model import (Beta, Cohort, HospitalSeries, _bridge, expand_gap,
-                          loss, predict_trajectory)
+from gapfit.model import (Beta, Cohort, HospitalSeries, expand_gap, loss,
+                          predict_trajectory)
 from gapfit.optimizer import FitConfig
 
 from conftest import make_series, random_gapped_series
@@ -176,6 +177,86 @@ def test_loss_fully_observed_equals_ols_objective():
         assert loss(s, beta) == pytest.approx(np.mean(resid ** 2), rel=1e-12)
 
 
+def _ragged_cohort(rng, K):
+    """A right-padded cohort of gapped rows of 2 to 30 days: every third row
+    has leading unreported days, every third a trailing gap, and every
+    fourth exactly 2 reports."""
+    T = 30
+    y = np.full((K, T), np.nan)
+    z = rng.uniform(0.0, 5.0, (K, T))
+    days = rng.integers(2, T + 1, K)
+    for k, n in enumerate(days):
+        row = rng.uniform(0.0, 30.0, n)
+        row[rng.random(n) < rng.uniform(0.0, 0.7)] = np.nan
+        if k % 3 == 1:
+            row[:rng.integers(0, n - 1)] = np.nan
+        if k % 3 == 2:
+            row[rng.integers(2, n + 1):] = np.nan
+        if k % 4 == 3:
+            row[:] = np.nan
+        seen = np.flatnonzero(np.isfinite(row))
+        if seen.size < 2:  # two reports, ordered as the row was cut
+            keep = rng.choice(n, 2, replace=False)
+            row[keep] = rng.uniform(0.0, 30.0, 2)
+        y[k, :n] = row
+    return Cohort(range(K), y, z, days)
+
+
+def test_cohort_loss_is_each_rows_loss():
+    # the (K, T) loss scores each row as the one-row loss does, to the bit
+    rng = np.random.Generator(np.random.PCG64(17))
+    for _ in range(10):
+        cohort = _ragged_cohort(rng, 25)
+        beta = rng.uniform(-0.4, 0.4, (len(cohort), 3))
+        rows = loss(cohort, beta.T)
+        assert rows.shape == (len(cohort),)
+        for k in range(len(cohort)):
+            assert rows[k] == loss(cohort[k], beta[k])
+    with pytest.raises(InsufficientDataError, match="'b'"):
+        loss(Cohort(["a", "b"], [[1.0, 2.0], [np.nan, 3.0]], np.ones((2, 2))),
+             Beta())
+
+
+def test_cohort_tape_matches_central_differences_and_one_row_tapes():
+    rng = np.random.Generator(np.random.PCG64(19))
+    h = 1e-6
+    for _ in range(10):
+        cohort = _ragged_cohort(rng, 40)
+        beta = rng.uniform(-0.4, 0.4, (len(cohort), 3))
+        res = autodiff.gradient(lambda b: loss(cohort, b), beta.T)
+        grad = np.stack(res.gradient, axis=1)
+        assert res.value.tobytes() == loss(cohort, beta.T).tobytes()
+        for j in range(3):
+            hi, lo = beta.copy(), beta.copy()
+            hi[:, j] += h
+            lo[:, j] -= h
+            fd = (loss(cohort, hi.T) - loss(cohort, lo.T)) / (2.0 * h)
+            disc = np.abs(grad[:, j] - fd) / np.maximum(1.0, np.abs(grad[:, j]))
+            assert disc.max() < 1e-6
+        for k in range(len(cohort)):
+            one = autodiff.gradient(lambda b: loss(cohort[k], b), beta[k])
+            assert one.value == res.value[k]
+            np.testing.assert_allclose(grad[k], one.gradient, rtol=1e-12,
+                                       atol=1e-12)
+
+
+def test_cohort_tape_leaves_the_other_rows_their_values():
+    rng = np.random.Generator(np.random.PCG64(23))
+    cohort = _ragged_cohort(rng, 12)
+    beta = rng.uniform(-0.4, 0.4, (len(cohort), 3))
+    want = autodiff.gradient(lambda b: loss(cohort, b), beta.T)
+    beta[3] = np.nan
+    beta[5, 1] = 1e300  # overflows on its reported days
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = autodiff.gradient(lambda b: loss(cohort, b), beta.T)
+    bad = np.isin(np.arange(len(cohort)), [3, 5])
+    assert np.isnan(got.value[bad]).all()
+    assert got.value[~bad].tobytes() == want.value[~bad].tobytes()
+    for g, w in zip(got.gradient, want.gradient):
+        assert np.isnan(g[bad]).all()
+        assert g[~bad].tobytes() == w[~bad].tobytes()
+
+
 # -- predict_trajectory -----------------------------------------------------
 
 def _one_row(s, beta):
@@ -214,6 +295,27 @@ def test_trajectory_matches_reports_where_present():
         for t in range(s.T):
             if s.r[t]:
                 assert y_tilde[t] == s.y[t]
+
+
+def _bridge(y, z, r, beta):
+    """Reference: the carry-forward recursion over one series' days, given
+    as lists, in plain Python.
+
+    Returns ``(first, states, preds)``: ``first`` is the 0-based first
+    reported day, ``states[i]`` the bridged state on day ``first + i`` and
+    ``preds[i]`` the predicted increment into day ``first + 1 + i``.
+    """
+    b1, b2, b3 = beta
+    first = r.index(True)
+    state = y[first]
+    states = [state]
+    preds = []
+    for t in range(first + 1, len(y)):
+        pred = b1 + b2 * state + b3 * z[t - 1]
+        state = y[t] if r[t] else state + pred
+        states.append(state)
+        preds.append(pred)
+    return first, states, preds
 
 
 def _bridge_rows(cohort, betas, T):

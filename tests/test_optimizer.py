@@ -260,6 +260,25 @@ def test_batch_kernel_matches_tape_and_is_row_local(cohort, lam):
                                           beta[row], lam)
         assert loss_k.tobytes() == loss_b[row].tobytes()
         assert grad_k.tobytes() == grad_b[row].tobytes()
+    # ragged rows, each cut after a day that keeps its 2 reports and padded
+    # as a Cohort pads them: the kernel stays pinned to the cohort tape,
+    # whose rows are the tapes of the rows alone
+    K, T = y.shape
+    second = np.argmax(np.cumsum(r, axis=1) >= 2, axis=1)
+    days = second + 1 + (7 * np.arange(K)) % (T - second)
+    padded = Cohort(range(K), y, z, days)
+    loss_b, grad_b = _loss_grad_batch(
+        _Residuals(padded.y, padded.r, padded.z), beta, lam)
+    loss_t, grad_t = _loss_grad_tape(padded.y, padded.z, beta, lam)
+    np.testing.assert_allclose(loss_b, loss_t, rtol=1e-9)
+    scale = 1e-12 * (1.0 + np.abs(grad_t).max(axis=1, keepdims=True))
+    assert np.all(np.abs(grad_b - grad_t) <= 1e-9 * np.abs(grad_t) + scale)
+    for k, n in enumerate(days):
+        loss_k, grad_k = _loss_grad_tape(padded.y[k:k + 1, :n],
+                                         padded.z[k:k + 1, :n],
+                                         beta[k:k + 1], lam)
+        assert loss_k.tobytes() == loss_t[k:k + 1].tobytes()
+        assert grad_k.tobytes() == grad_t[k:k + 1].tobytes()
 
 
 def test_adam_runs_and_descends(anchor_series):

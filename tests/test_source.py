@@ -37,10 +37,9 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Where a HospitalSeries may be built: the model itself, and the two places
-# that need a one-row loss input.  Everything else holds a Cohort's arrays.
-SERIES_BUILDERS = {("model", None), ("optimizer", "_loss_grad_tape"),
-                   ("cli", "cmd_gradcheck")}
+# Where a HospitalSeries may be built: the model itself.  Everything else
+# holds a Cohort's arrays; the loss takes a whole cohort.
+SERIES_BUILDERS = {("model", None)}
 
 
 def series_builds(source):
