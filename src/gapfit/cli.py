@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 I/O error, 2 configuration/usage error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
@@ -24,9 +22,10 @@ import numpy as np
 
 from . import __version__, autodiff
 from .benchmarks import BenchmarkKind
-from .datagen import (MissingnessSpec, SimSpec, _codes, _CsvColumns, _is_count,
-                      _parse_cells, _parse_count, load_cohort, save_cohort,
-                      simulate_cohort)
+from .datagen import (MissingnessSpec, SimSpec, _cells, _codes,
+                      _CsvColumns, _is_count, _parse_cells, _parse_count,
+                      _series_blocks, _text_cells, _write_columns,
+                      load_cohort, save_cohort, simulate_cohort)
 from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
@@ -44,12 +43,6 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
 def _artifact(outdir, name):
     """Path of one output file.  The directory is made at the first write, so
     a command rejected before it leaves no directory behind."""
@@ -57,26 +50,24 @@ def _artifact(outdir, name):
     return os.path.join(outdir, name)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _stat_cells(values):
+    """Cells of floats, empty for None (a statistic of no values)."""
+    return _cells(np.array(values, float), [v is not None for v in values])
+
+
+def _flag_cells(flags):
+    return ["true" if flag else "false" for flag in flags]
 
 
 def _write_traces(path, traces):
-    """``traces.csv`` of (hospital id, loss trace) pairs, as :func:`_write_csv`
-    writes the rows ``[id, step, _fmt(loss)]``: each id is quoted once, and
-    one ``repr`` formats a whole trace."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("hospital_id,step,loss\r\n")
-        for hid, trace in traces:
-            cell = io.StringIO()
-            csv.writer(cell).writerow([hid, ""])  # the id, "," and "\r\n"
-            hid = cell.getvalue()[:-3]
-            values = repr(list(map(float, trace)))[1:-1].split(", ")
-            fh.write("".join(f"{hid},{step},{value}\r\n"
-                             for step, value in enumerate(values)))
+    """``traces.csv``: a row ``id, step, loss`` per step of each (hospital
+    id, loss trace) pair."""
+    lengths = [len(trace) for _, trace in traces]
+    losses = np.full((len(traces), max(lengths, default=0)), np.nan)
+    for k, (_, trace) in enumerate(traces):
+        losses[k, :len(trace)] = trace
+    _write_columns(path, ["hospital_id", "step", "loss"], _series_blocks(
+        [hid for hid, _ in traces], lengths, [losses], start=0))
 
 
 def _write_json(path, payload):
@@ -201,29 +192,27 @@ def cmd_fit(args):
     outdir = args["output_dir"]
     config = _fit_config(args)
     spec = SharingSpec.parse(args["share"])
-    cohort_fit = fit_shared(cohort, spec, config)
-    param_rows = []
-    traces = []
-    for hid, res in zip(cohort.ids, cohort_fit.results):
-        if res is None:
-            param_rows.append([hid, "", "", "", "false", "true", 0, ""])
-            continue
-        coefs = res.beta.as_array()
-        # a diverged fit's non-finite coefficients are left blank, so
-        # ``predict`` skips that hospital as one without parameters
-        cells = ([_fmt(c) for c in coefs] if np.isfinite(coefs).all()
-                 else ["", "", ""])
-        param_rows.append([
-            hid, *cells,
-            "true" if res.converged else "false",
-            "true" if res.fell_back else "false",
-            res.steps_used, _fmt(res.loss_trace[-1]),
-        ])
-        traces.append((hid, res.loss_trace))
-    _write_csv(_artifact(outdir, "params.csv"),
-               ["hospital_id", "b1", "b2", "b3", "converged", "fell_back",
-                "steps_used", "final_loss"], param_rows)
-    _write_traces(_artifact(outdir, "traces.csv"), traces)
+    results = fit_shared(cohort, spec, config).results
+    fitted = [res is not None for res in results]
+    coefs = np.array([res.beta.as_array() if res is not None else [np.nan] * 3
+                      for res in results]).reshape(-1, 3)
+    # a diverged fit's non-finite coefficients are left blank, so
+    # ``predict`` skips that hospital as one without parameters
+    finite = np.isfinite(coefs).all(axis=1)
+    _write_columns(
+        _artifact(outdir, "params.csv"),
+        ["hospital_id", "b1", "b2", "b3", "converged", "fell_back",
+         "steps_used", "final_loss"],
+        [[_text_cells(cohort.ids), *(_cells(c, finite) for c in coefs.T),
+          _flag_cells(res is not None and res.converged for res in results),
+          _flag_cells(res is None or res.fell_back for res in results),
+          _cells([res.steps_used if res is not None else 0
+                  for res in results]),
+          _cells([res.loss_trace[-1] if res is not None else np.nan
+                  for res in results], fitted)]])
+    _write_traces(_artifact(outdir, "traces.csv"),
+                  [(hid, res.loss_trace) for hid, res in
+                   zip(cohort.ids, results) if res is not None])
     _write_manifest(outdir, "fit", args, ["params.csv", "traces.csv"])
     return 0
 
@@ -240,12 +229,14 @@ def cmd_benchmark(args):
     # a model that scored no hospital has no sum; 0.0 would read as perfect
     summaries = [dict(r.summary, sum=r.summary["sum"] if r.errors else None)
                  for r in reports]
-    rows = [[r.model, _fmt(s["sum"]), _fmt(s["mean"]), _fmt(s["q1"]),
-             _fmt(s["median"]), _fmt(s["q3"]), r.fallback_count, len(r.errors)]
-            for r, s in zip(reports, summaries)]
-    _write_csv(_artifact(outdir, "table1.csv"),
-               ["model", "sum", "mean", "q1", "median", "q3", "fallback_count",
-                "n_scored"], rows)
+    stats = ["sum", "mean", "q1", "median", "q3"]
+    _write_columns(
+        _artifact(outdir, "table1.csv"),
+        ["model", *stats, "fallback_count", "n_scored"],
+        [[_text_cells(r.model for r in reports),
+          *(_stat_cells([s[stat] for s in summaries]) for stat in stats),
+          _cells([r.fallback_count for r in reports]),
+          _cells([len(r.errors) for r in reports])]])
     payload = {r.model: {"summary": s,
                          "fallback_count": r.fallback_count,
                          "n_scored": len(r.errors),
@@ -264,16 +255,18 @@ def cmd_sensitivity(args):
     report = sensitivity_run(cohort, ALL_SHARING_SPECS, config,
                              baseline=BenchmarkKind(args["baseline"]),
                              window_length=args["window_len"])
-    _write_csv(_artifact(outdir, "table2.csv"),
-               ["combination", "q1", "median", "q3"],
-               [[row.label, _fmt(row.q1), _fmt(row.median), _fmt(row.q3)]
-                for row in report.rows])
-    _write_csv(_artifact(outdir, "windows.csv"),
-               ["window_start", "window_end",
-                *[row.label for row in report.rows]],
-               [[w.start, w.end,
-                 *[_fmt(row.diffs[i]) for row in report.rows]]
-                for i, w in enumerate(report.windows)])
+    labels = [row.label for row in report.rows]
+    _write_columns(
+        _artifact(outdir, "table2.csv"), ["combination", "q1", "median", "q3"],
+        [[_text_cells(labels),
+          *(_cells([getattr(row, stat) for row in report.rows])
+            for stat in ("q1", "median", "q3"))]])
+    _write_columns(
+        _artifact(outdir, "windows.csv"),
+        ["window_start", "window_end", *labels],
+        [[_cells([w.start for w in report.windows]),
+          _cells([w.end for w in report.windows]),
+          *(_cells(np.array(row.diffs, float)) for row in report.rows)]])
     payload = {
         "baseline": report.baseline,
         "window_length": report.window_length,
@@ -297,16 +290,16 @@ def cmd_censor(args):
     if not rates:
         raise UsageError("at least one censor rate is required")
     reports = censor_sweep(cohort, rates, args["reps"], args["seed"], config)
-    rows = []
-    payload = {}
-    for rep in reports:
-        payload[str(rep.rate)] = {m: rep.summary[m] for m in rep.summary}
-        for m in rep.summary:
-            s = rep.summary[m]
-            rows.append([_fmt(rep.rate), m, _fmt(s["mean"]), _fmt(s["q1"]),
-                         _fmt(s["median"]), _fmt(s["q3"])])
-    _write_csv(_artifact(outdir, "recovery.csv"),
-               ["rate", "model", "mean", "q1", "median", "q3"], rows)
+    payload = {str(rep.rate): {m: rep.summary[m] for m in rep.summary}
+               for rep in reports}
+    stats = ["mean", "q1", "median", "q3"]
+    rows = [(rep.rate, m, rep.summary[m]) for rep in reports
+            for m in rep.summary]
+    _write_columns(
+        _artifact(outdir, "recovery.csv"), ["rate", "model", *stats],
+        [[_cells([rate for rate, _, _ in rows]),
+          _text_cells(m for _, m, _ in rows),
+          *(_stat_cells([s[stat] for _, _, s in rows]) for stat in stats)]])
     _write_json(_artifact(outdir, "report.json"), payload)
     _write_manifest(outdir, "censor", args, ["recovery.csv", "report.json"])
     return 0
@@ -356,7 +349,8 @@ def cmd_gradcheck(args):
 
 def _load_params(path):
     """Coefficients per hospital id from a ``params.csv``; a row with an
-    empty ``b1`` (a hospital without a usable fit) is skipped."""
+    empty ``b1`` (a hospital without a usable fit) is skipped.  A header
+    without the id and all three coefficients raises :class:`ParseError`."""
     ids = {}  # hospital id -> index, in order of first appearance
 
     def convert(start, columns):
@@ -367,8 +361,7 @@ def _load_params(path):
         # a skipped row keys on its own position (< 0), so it repeats no row
         hosp = -1 - np.arange(start, start + len(hid))
         hosp[used] = _codes([h for h, u in zip(hid, used.tolist()) if u], ids)
-        # a row too short to reach its hospital_id, or a file without that
-        # column, has the id None
+        # a row too short to reach its hospital_id has the id None
         unnamed = np.equal(np.array(hid, object), None)
         bad = used & (~np.isfinite(coefs).all(axis=1) | unnamed)
         return (hosp,), (coefs,), bad
@@ -389,13 +382,16 @@ def _load_params(path):
             raise ParseError(
                 f"{path}:{line}: duplicate parameters for {hid!r}", line=line)
 
-    with _CsvColumns(path, ["hospital_id", "b1", "b2", "b3"]) as table:
+    names = ["hospital_id", "b1", "b2", "b3"]
+    with _CsvColumns(path, names) as table:
         _, (hosp,), (coefs,) = table.read(convert, check)
     return {hid: Beta(*c) for hid, c in zip(ids, coefs[hosp >= 0].tolist())}
 
 
 def _load_future_z(path, incidence_column):
-    """Incidence per (hospital id, day) from a ``--future-z`` file."""
+    """Incidence per (hospital id, day) from a ``--future-z`` file.  A
+    header without the id, day and incidence columns raises
+    :class:`ParseError`."""
     names = ["hospital_id", "day", incidence_column]
     ids = {}  # hospital id -> index, in order of first appearance
 
@@ -404,14 +400,13 @@ def _load_future_z(path, incidence_column):
         day, bad = _parse_cells(int, day, 0)
         z = _parse_cells(float, cells, np.nan)[0]
         bad |= ~_is_count(z) | np.equal(np.array(hid, object), None)
-        bad |= not keyed
         return (_codes(hid, ids), day), (z,), bad
 
     def check(line, cells, repeated):
         hid, day, cell = cells
         try:
-            if not keyed or hid is None:
-                raise KeyError(names)
+            if hid is None:
+                raise KeyError("hospital_id")
             day = int(day)
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"{path}:{line}: bad future-z row",
@@ -422,7 +417,6 @@ def _load_future_z(path, incidence_column):
                              line=line)
 
     with _CsvColumns(path, names) as table:
-        keyed = table.header is not None and set(names) <= set(table.header)
         _, (hosp, day), (z,) = table.read(convert, check)
     hids = list(ids)
     return {(hids[h], d): value
@@ -460,25 +454,19 @@ def cmd_predict(args):
     coefs = np.array([betas[cohort.ids[k]].as_array() for k in kept])
     y_tilde, dy_hat = predict_trajectory(
         y, r, z[kept] * args["incidence_scale"], coefs.reshape(-1, 3))
-    rows = []
-    for i, k in enumerate(kept):
-        hid, T = cohort.ids[k], int(cohort.days[k])
-        first = int(np.argmax(r[i]))
-        cells = zip(*(a[i, :T + horizon].tolist()
-                      for a in (y, r, y_tilde, dy_hat)))
-        for t, (obs, rep, state, inc) in enumerate(cells):
-            if t >= T:
-                kind = "forecast"
-            elif t < first:
-                kind = "pre-report"
-            else:
-                kind = "observed" if rep else "bridged"
-            rows.append([hid, t + 1, _fmt(obs) if rep else "",
-                         _fmt(state) if t >= first else "",
-                         _fmt(inc) if t > first else "", kind])
-    _write_csv(_artifact(outdir, "trajectory.csv"),
-               ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
-               rows)
+    # each row's days, then its forecast days; a state exists from the
+    # first report on, an increment after it
+    days = cohort.days[kept]
+    t = np.arange(y.shape[1])
+    since = t - np.argmax(r, axis=1)[:, None]  # days since the first report
+    kind = np.select([t >= days[:, None], since < 0, r],
+                     ["forecast", "pre-report", "observed"], "bridged")
+    _write_columns(
+        _artifact(outdir, "trajectory.csv"),
+        ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
+        _series_blocks([cohort.ids[k] for k in kept], days + horizon,
+                       [(y, r), (y_tilde, since >= 0), (dy_hat, since > 0),
+                        kind]))
     _write_manifest(outdir, "predict", args, ["trajectory.csv"])
     return 0
 

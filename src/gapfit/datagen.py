@@ -11,10 +11,12 @@ calibrated to roughly 6.4% missing reports overall.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from contextlib import ExitStack
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -60,37 +62,41 @@ class SeirParams:
         self.initial.validate()
 
 
-def _seir_deriv(state, p, n):
-    s, e, i, _ = state
+def _seir_deriv(s, e, i, p, n):
+    """Rates of change of S, E and I (R feeds none of them)."""
     new_inf = p.transmission_rate * s * i / n
-    return np.array([-new_inf,
-                     new_inf - p.incubation_rate * e,
-                     p.incubation_rate * e - p.recovery_rate * i,
-                     p.recovery_rate * i])
+    return (-new_inf,
+            new_inf - p.incubation_rate * e,
+            p.incubation_rate * e - p.recovery_rate * i)
 
 
 def simulate_seir(params, days, substeps=24):
     """Daily new-infection counts from a fixed-step RK4 SEIR integration.
 
     Returns an array of length ``days`` holding the daily flow out of the
-    susceptible compartment.
+    susceptible compartment.  The state is three Python floats, which step
+    exactly as the elements of a numpy array would, at a fraction of the cost.
     """
     params.validate()
     if days < 1 or substeps < 1:
         raise UsageError("days and substeps must be >= 1")
     n = params.initial.N
-    state = np.array([params.initial.S, params.initial.E,
-                      params.initial.I, params.initial.R])
+    state = (params.initial.S, params.initial.E, params.initial.I)
     h = 1.0 / substeps
+    half, sixth = 0.5 * h, h / 6.0
     incidence = np.empty(days)
     for d in range(days):
         s_at_day_start = state[0]
         for _ in range(substeps):
-            k1 = _seir_deriv(state, params, n)
-            k2 = _seir_deriv(state + 0.5 * h * k1, params, n)
-            k3 = _seir_deriv(state + 0.5 * h * k2, params, n)
-            k4 = _seir_deriv(state + h * k3, params, n)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = _seir_deriv(*state, params, n)
+            k2 = _seir_deriv(*(x + half * k for x, k in zip(state, k1)),
+                             params, n)
+            k3 = _seir_deriv(*(x + half * k for x, k in zip(state, k2)),
+                             params, n)
+            k4 = _seir_deriv(*(x + h * k for x, k in zip(state, k3)),
+                             params, n)
+            state = tuple(x + sixth * (a + 2.0 * b + 2.0 * c + g)
+                          for x, a, b, c, g in zip(state, k1, k2, k3, k4))
         incidence[d] = s_at_day_start - state[0]
     return incidence
 
@@ -229,36 +235,153 @@ def save_cohort(cohort, path, truth=None, truth_path=None):
     optionally a truth sidecar.
 
     Floats are serialized at full round-trip precision.  Both files are
-    written in one pass, so each hospital's cells are formatted once.
+    written in one pass, so the cells they share are formatted once.
     """
     if truth is not None and truth_path is None:
         raise UsageError("truth_path required when truth is given")
-    with ExitStack() as files:
-        writer = csv.writer(files.enter_context(
-            open(path, "w", newline="", encoding="utf-8")))
-        writer.writerow(["hospital_id", "day", "cases", "incidence"])
-        if truth is not None:
-            sidecar = csv.writer(files.enter_context(
-                open(truth_path, "w", newline="", encoding="utf-8")))
-            sidecar.writerow(["hospital_id", "day", "cases", "incidence",
-                              "true_b1", "true_b2", "true_b3", "true_cases"])
-        for k, (hid, n) in enumerate(zip(cohort.ids, cohort.days.tolist())):
-            days = range(1, n + 1)
-            cases = [repr(v) if rep else "" for v, rep in
-                     zip(cohort.y[k, :n].tolist(), cohort.r[k, :n].tolist())]
-            z = list(map(repr, cohort.z[k, :n].tolist()))
-            writer.writerows(zip(repeat(hid), days, cases, z))
+    header = ["hospital_id", "day", "cases", "incidence"]
+    columns = [(cohort.y, cohort.r), cohort.z]
+    if truth is not None:
+        # each hospital's three coefficient cells, joined once
+        coefs = np.array([(b.b1, b.b2, b.b3) for b in truth.betas], float)
+        coefs = list(map(",".join, zip(*map(_cells, coefs.reshape(-1, 3).T))))
+        true_cases = np.full(cohort.y.shape, np.nan)
+        for k, n in enumerate(cohort.days.tolist()):
+            true_cases[k, :n] = np.asarray(truth.trajectories[k], float)[:n]
+        columns += [coefs, true_cases]
+    with _CsvBlocks(path, header) as out, (
+            _CsvBlocks(truth_path, header + ["true_b1", "true_b2", "true_b3",
+                                             "true_cases"])
+            if truth is not None else nullcontext()) as sidecar:
+        for block in _series_blocks(cohort.ids, cohort.days, columns):
+            shared = list(map(",".join, zip(*block[:4])))
+            out.write([shared])
             if truth is not None:
-                beta = truth.betas[k]
-                coefs = (repr(beta.b1), repr(beta.b2), repr(beta.b3))
-                sidecar.writerows(zip(
-                    repeat(hid), days, cases, z, *map(repeat, coefs),
-                    map(repr, map(float, truth.trajectories[k]))))
+                sidecar.write([shared, *block[4:]])
 
 
 # Records per chunk of :class:`_CsvColumns`: a reader holds one chunk of cells
-# as strings at a time, whatever the size of the file.
+# as strings at a time, whatever the size of the file.  A block of the writer
+# holds at most as many rows, or one hospital that has more.
 _CHUNK_ROWS = 4096
+
+# What csv's QUOTE_MINIMAL quotes a text cell for: the delimiter, the quote
+# character and the line terminator's characters.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _text_cells(values):
+    """Strings as :class:`csv.writer` writes them as cells.  One scan of the
+    joined values finds whether any needs quotes; only then is each distinct
+    value quoted, through csv itself."""
+    values = list(values)
+    if not _NEEDS_QUOTES.search("".join(values)):
+        return values
+    quoted = {}
+    for value in dict.fromkeys(values):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow((value, ""))
+        quoted[value] = buffer.getvalue()[:-3]  # less the row's ",\r\n"
+    return list(map(quoted.__getitem__, values))
+
+
+def _cells(values, shown=None):
+    """The numbers of a 1-d array as cells, each as ``repr`` writes the
+    Python number (``repr(float(x))`` for a float); a cell is empty where
+    the mask ``shown`` is False.  One ``repr`` formats the whole array."""
+    values = np.asarray(values)
+    if not values.size:
+        return []
+    cells = repr(values.tolist())[1:-1].split(", ")
+    if shown is not None:
+        for i in np.flatnonzero(~np.asarray(shown, bool)).tolist():
+            cells[i] = ""
+    return cells
+
+
+def _row_blocks(lengths):
+    """Slices of consecutive series, given each one's number of rows, of at
+    most ``_CHUNK_ROWS`` rows in all; a longer series is a slice of its own."""
+    start = size = 0
+    for k, n in enumerate(lengths):
+        if size + n > _CHUNK_ROWS and k > start:
+            yield slice(start, k)
+            start, size = k, 0
+        size += n
+    if start < len(lengths):
+        yield slice(start, len(lengths))
+
+
+def _series_blocks(ids, lengths, columns, start=1):
+    """Blocks of cells for :func:`_write_columns`: a row per day of each
+    series, holding the series' id, the day (counted from ``start``) and a
+    cell per column.  Series k has ``lengths[k]`` days.
+
+    A column is a (K, T) array of numbers or of text, with each series' days
+    first in its row; or a pair of such an array of numbers and a mask of
+    the cells to show, the others empty; or a list of K cells, one per
+    series, repeated on each of its days.  A block holds whole series of at
+    most ``_CHUNK_ROWS`` rows in all (see :func:`_row_blocks`).
+    """
+    ids, lengths = _text_cells(ids), np.asarray(lengths, int)
+    width = int(lengths.max(initial=0))
+    cut = np.arange(width) < lengths[:, None]
+    lengths = lengths.tolist()
+
+    def repeated(cells, rows):
+        return list(chain.from_iterable(map(repeat, cells[rows],
+                                            lengths[rows])))
+
+    for rows in _row_blocks(lengths):
+        keep = cut[rows]
+        block = [repeated(ids, rows), _cells(np.nonzero(keep)[1] + start)]
+        for column in columns:
+            if isinstance(column, list):
+                block.append(repeated(column, rows))
+                continue
+            values, shown = (column if isinstance(column, tuple)
+                             else (column, None))
+            values = values[rows, :width][keep]
+            if shown is not None:
+                shown = shown[rows, :width][keep]
+            block.append(values.tolist() if values.dtype.kind == "U"
+                         else _cells(values, shown))
+        yield block
+
+
+class _CsvBlocks:
+    """A UTF-8 CSV file written as :class:`csv.writer` writes it: the text
+    cells of ``header``, then one block of rows per :meth:`write`.
+
+    Use as a context manager.  A block is a list of equal-length columns of
+    ready-made cells (see :func:`_text_cells` and :func:`_cells`); columns of
+    different lengths raise ValueError.  A block is joined and written with
+    one write, so only one block's cells are held at a time.
+    """
+
+    def __init__(self, path, header):
+        self._fh = open(path, "w", newline="", encoding="utf-8")
+        self.write([[cell] for cell in _text_cells(header)])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, columns):
+        rows = list(map(",".join, zip(*columns, strict=True)))
+        if rows:
+            rows.append("")  # the last row's line terminator
+            self._fh.write("\r\n".join(rows))
+
+
+def _write_columns(path, header, blocks):
+    """Write the CSV file ``path``: the ``header`` row, then each block of
+    ``blocks`` (see :class:`_CsvBlocks`)."""
+    with _CsvBlocks(path, header) as out:
+        for columns in blocks:
+            out.write(columns)
 
 
 class _CsvColumns:
@@ -266,13 +389,16 @@ class _CsvColumns:
 
     Use as a context manager.  ``header`` is the file's first row (None for
     an empty file); :meth:`read` converts and checks every record after it.
+    A header that lacks any of ``names`` raises :class:`ParseError` on line
+    1: "missing header" if it lacks the column ``key`` (or there is none),
+    else "missing columns".
     As in :class:`csv.DictReader`, a name's cells come from the last header
-    column of that name, a cell past the end of a short row, or of a name
-    the header lacks, is None, and blank lines are not records.  Bytes that
+    column of that name, a cell past the end of a short row is None, and
+    blank lines are not records.  Bytes that
     are not UTF-8 and fields over csv's size limit raise :class:`ParseError`.
     """
 
-    def __init__(self, path, names):
+    def __init__(self, path, names, key=None):
         self.path = path
         self._fh = open(path, newline="", encoding="utf-8")
         self._reader = csv.reader(self._fh)
@@ -282,8 +408,13 @@ class _CsvColumns:
         except (csv.Error, UnicodeDecodeError) as exc:
             self._fh.close()
             raise self._parse_error(exc) from None
+        missing = sorted(set(names) - set(self.header or ()))
+        if missing:
+            self._fh.close()
+            raise ParseError(f"{path}: missing header" if key in missing
+                             else f"{path}: missing columns {missing}", line=1)
         where = {name: i for i, name in enumerate(self.header or ())}
-        self._columns = [where.get(name) for name in names]
+        self._columns = [where[name] for name in names]
 
     def __enter__(self):
         return self
@@ -332,7 +463,7 @@ class _CsvColumns:
         """``(start, columns)`` per chunk of up to ``_CHUNK_ROWS`` records,
         at least one chunk, with ``columns`` one tuple of cells per name.  A
         read that fails ends the chunks and is kept in ``_error``."""
-        width = max((i + 1 for i in self._columns if i is not None), default=1)
+        width = max(self._columns, default=0) + 1
         start = 0
         full = True
         while full and self._error is None:
@@ -347,8 +478,8 @@ class _CsvColumns:
                 rows = [r + [None] * (width - len(r)) if len(r) < width else r
                         for r in rows if r]
             if rows or start == 0:
-                yield start, [tuple(map(itemgetter(i), rows)) if i is not None
-                              else (None,) * len(rows) for i in self._columns]
+                yield start, [tuple(map(itemgetter(i), rows))
+                              for i in self._columns]
                 start += len(rows)
 
     def _fault(self, check, record, repeated):
@@ -358,8 +489,7 @@ class _CsvColumns:
             reader = csv.reader(fh)
             next(reader)
             row = next(islice(filter(None, reader), record, None))
-            cells = [row[i] if i is not None and i < len(row) else None
-                     for i in self._columns]
+            cells = [row[i] if i < len(row) else None for i in self._columns]
             check(reader.line_num, cells, repeated)
 
 
@@ -485,13 +615,7 @@ def load_cohort(path, incidence_column="incidence"):
                              line=line)
 
     required = ["hospital_id", "day", "cases", incidence_column]
-    with _CsvColumns(path, required) as table:
-        if table.header is None or "hospital_id" not in table.header:
-            raise ParseError(f"{path}: missing header", line=1)
-        missing_cols = set(required) - set(table.header)
-        if missing_cols:
-            raise ParseError(
-                f"{path}: missing columns {sorted(missing_cols)}", line=1)
+    with _CsvColumns(path, required, key="hospital_id") as table:
         order, (hosp, day), (y, z) = table.read(convert, check)
     hosp, day, y, z = hosp[order], day[order], y[order], z[order]
     counts = np.bincount(hosp, minlength=len(ids))

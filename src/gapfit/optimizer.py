@@ -225,15 +225,14 @@ def _loss_grad_batch(res, beta, lam):
     return lossv, grad
 
 
-def _loss_grad_tape(y, z, beta, lam):
+def _loss_grad_tape(rows, beta, lam):
     """Same contract as :func:`_loss_grad_batch`, from the loss on a tape.
 
-    Takes the cohort's (K, T) ``y`` and ``z`` in place of the layout and
-    differentiates :func:`gapfit.model.loss` (plus the L2 penalty) of every
-    row in one reverse sweep over (K,) tape values; a row whose evaluation
-    turns non-finite gets NaN.
+    Takes the fit's rows as a :class:`~gapfit.model.Cohort` in place of the
+    layout and differentiates :func:`gapfit.model.loss` (plus the L2
+    penalty) of every row in one reverse sweep over (K,) tape values; a row
+    whose evaluation turns non-finite gets NaN.
     """
-    rows = Cohort(range(len(y)), y, z)
 
     def objective(b):
         val = model_loss(rows, b)
@@ -275,7 +274,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
         eta[:, j] = eta[:, j].min()
     adam = config.method == "adam"
     if config.engine == "tape":
-        loss_grad = partial(_loss_grad_tape, y, z)
+        loss_grad = partial(_loss_grad_tape, Cohort(range(K), y, z))
     else:
         loss_grad = partial(_loss_grad_batch, _Residuals(y, r, z))
     m = np.zeros((K, 3))

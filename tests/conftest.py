@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gapfit.model import HospitalSeries
+from gapfit.datagen import CohortTruth
+from gapfit.model import Beta, Cohort, HospitalSeries
 
 # one line per acceptance criterion, echoed after the run (see
 # pytest_terminal_summary below); populated by tests/test_acceptance.py
@@ -41,3 +42,31 @@ def random_gapped_series(rng, T=None, id="r"):
         y[-1] = 1.0
     z = rng.uniform(0.0, 3.0, T)
     return HospitalSeries(id, y, z)
+
+
+# Hospitals whose ids csv must quote, or must not.
+HOSTILE_IDS = ["a,b", 'say "hi"', "cr\rlf\n", "crlf\r\n", "nul\x00",
+               " spaced ", "é", "plain"]
+
+
+def hostile_cohort():
+    """A ragged, gapped cohort with hostile ids, leading unreported days and
+    edge-case floats (-0.0, 5e-324, 1e16), and a truth for it."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    series, betas, trajectories = [], [], []
+    for k, hid in enumerate(HOSTILE_IDS):
+        T = 3 + 5 * k
+        truth = rng.uniform(0.0, 50.0, T)
+        truth[rng.integers(0, T, 3)] = [-0.0, 5e-324, 1e16]
+        y = truth.copy()
+        y[rng.random(T) < 0.3] = np.nan
+        y[:k % 3] = np.nan  # days before the first report
+        y[-2:] = truth[-2:]
+        z = rng.uniform(0.0, 5.0, T)
+        z[rng.integers(0, T)] = -0.0
+        series.append(HospitalSeries(hid, y, z))
+        betas.append(Beta(*rng.uniform(-0.4, 0.4, 3).tolist()))
+        trajectories.append(truth)
+    betas[0] = Beta(-0.0, 5e-324, 1e16)
+    return (Cohort.from_series(series),
+            CohortTruth(betas, trajectories, incidence_scale=0.01))

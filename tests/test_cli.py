@@ -5,11 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from gapfit import autodiff, cli
+from gapfit import autodiff, cli, datagen
 from gapfit.cli import main
+from gapfit.datagen import save_cohort
 from gapfit.errors import (EvaluationError, GapfitError, InsufficientDataError,
                            ParseError, TapeMismatchError, UsageError)
-from gapfit.model import HospitalSeries, loss
+from gapfit.model import HospitalSeries, loss, predict_trajectory
+
+from conftest import HOSTILE_IDS, hostile_cohort
 
 
 def _run(*argv):
@@ -323,6 +326,150 @@ def test_predict_bridges_and_forecasts(tmp_path):
               "--params", str(fitdir / "params.csv"), "--horizon", str(H),
               "--future-z", str(future))
     assert rc == 2
+
+
+
+def _reference_trajectory(args, path):
+    """``trajectory.csv`` as cmd_predict once built it, row by row through
+    csv.writer, kept as its oracle."""
+    cohort, _ = cli._load(args)
+    betas = cli._load_params(args["params"])
+    horizon = args["horizon"]
+    future_z = (cli._load_future_z(args["future_z"], "incidence")
+                if horizon > 0 else {})
+    y = np.pad(cohort.y, ((0, 0), (0, horizon)), constant_values=np.nan)
+    z = np.pad(cohort.z, ((0, 0), (0, horizon)))
+    kept = []
+    for k, (hid, n) in enumerate(zip(cohort.ids, cohort.days.tolist())):
+        if hid in betas:
+            z[k, n:n + horizon - 1] = [future_z[hid, d]
+                                       for d in range(n + 1, n + horizon)]
+            kept.append(k)
+    y, r = y[kept], np.isfinite(y[kept])
+    coefs = np.array([betas[cohort.ids[k]].as_array() for k in kept])
+    y_tilde, dy_hat = predict_trajectory(
+        y, r, z[kept] * args["incidence_scale"], coefs.reshape(-1, 3))
+    rows = []
+    for i, k in enumerate(kept):
+        hid, T = cohort.ids[k], int(cohort.days[k])
+        first = int(np.argmax(r[i]))
+        cells = zip(*(a[i, :T + horizon].tolist()
+                      for a in (y, r, y_tilde, dy_hat)))
+        for t, (obs, rep, state, inc) in enumerate(cells):
+            if t >= T:
+                kind = "forecast"
+            elif t < first:
+                kind = "pre-report"
+            else:
+                kind = "observed" if rep else "bridged"
+            rows.append([hid, t + 1, repr(obs) if rep else "",
+                         repr(state) if t >= first else "",
+                         repr(inc) if t > first else "", kind])
+    _write(path, ["hospital_id", "day", "observed", "y_tilde", "dy_hat",
+                  "kind"], rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 9, 4096])
+@pytest.mark.parametrize("horizon", [0, 3])
+def test_predict_writes_what_the_row_builder_wrote(tmp_path, monkeypatch,
+                                                   chunk, horizon):
+    # small blocks split the trajectories between and inside hospitals
+    monkeypatch.setattr(datagen, "_CHUNK_ROWS", chunk)
+    cohort, truth = hostile_cohort()
+    save_cohort(cohort, tmp_path / "cohort.csv")
+    # the last hospital has no parameters, the one before it a blank row
+    _write(tmp_path / "params.csv", ["hospital_id", "b1", "b2", "b3"],
+           [[hid, *beta.as_array().tolist()]
+            for hid, beta in zip(HOSTILE_IDS[:-2], truth.betas)]
+           + [[HOSTILE_IDS[-2], "", "", ""]])
+    _write(tmp_path / "future.csv", ["hospital_id", "day", "incidence"],
+           [[hid, n + d, 0.5 * d] for hid, n in zip(cohort.ids, cohort.days)
+            for d in (1, 2, 3)])
+    args = {"input": str(tmp_path / "cohort.csv"),
+            "incidence_column": "incidence",
+            "params": str(tmp_path / "params.csv"), "horizon": horizon,
+            "future_z": str(tmp_path / "future.csv"), "incidence_scale": 0.01}
+    _reference_trajectory(args, tmp_path / "want.csv")
+    assert _run("predict", "--input", args["input"], "--output-dir",
+                str(tmp_path / "out"), "--params", args["params"],
+                "--horizon", str(horizon), "--future-z", args["future_z"]) == 0
+    got = _read(tmp_path / "out" / "trajectory.csv")
+    assert got == _read(tmp_path / "want.csv")
+    assert b"pre-report" in got and b"bridged" in got
+    assert (b"forecast" in got) == (horizon > 0)
+
+
+class _RecordedFile:
+    """A file opened for writing that records the length of every write."""
+
+    def __init__(self, fh, sizes):
+        self._fh, self.sizes = fh, sizes
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return self._fh.write(text)
+
+    def close(self):
+        self._fh.close()
+
+
+def test_large_artifacts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
+    writes = {}  # file name -> lengths of its writes
+
+    def recording_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" not in mode:
+            return fh
+        name = os.path.basename(path)
+        return _RecordedFile(fh, writes.setdefault(name, []))
+
+    monkeypatch.setattr(datagen, "open", recording_open, raising=False)
+    sim = tmp_path / "sim"
+    assert _run("simulate", "--output-dir", str(sim), "--seed", "3",
+                "--hospitals", "500", "--days", "70") == 0
+    ids = [f"h{k:03d}" for k in range(500)]
+    _write(tmp_path / "params.csv", ["hospital_id", "b1", "b2", "b3"],
+           [[hid, 0.1, -0.01, 0.2] for hid in ids])
+    _write(tmp_path / "future.csv", ["hospital_id", "day", "incidence"],
+           [[hid, day, 1.0] for hid in ids for day in (71, 72, 73)])
+    assert _run("predict", "--input", str(sim / "cohort.csv"),
+                "--output-dir", str(tmp_path / "pred"),
+                "--params", str(tmp_path / "params.csv"), "--horizon", "3",
+                "--future-z", str(tmp_path / "future.csv")) == 0
+    for path in (sim / "truth.csv", tmp_path / "pred" / "trajectory.csv"):
+        sizes = writes[path.name]
+        assert sum(sizes) == os.path.getsize(path) > 2_000_000
+        # one block of rows per write, never the whole file
+        assert len(sizes) > 8 and max(sizes) < 1_000_000
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("", ["b1", "b2", "b3", "hospital_id"]),
+    ("hospital_id,day,cases,incidence\nh0,1,3.0,1.0\n", ["b1", "b2", "b3"]),
+    ("hospital_id,b1,b3\nh0,0.1,0.2\n", ["b2"]),
+])
+def test_predict_params_without_coefficients_exits_1(tmp_path, capsys, text,
+                                                     missing):
+    sim = _simulate(tmp_path)
+    params = tmp_path / "params.csv"
+    params.write_text(text)
+    out = tmp_path / "pred"
+    assert _run("predict", "--input", str(sim / "cohort.csv"),
+                "--output-dir", str(out), "--params", str(params)) == 1
+    assert (f"{params}: missing columns {missing}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["", "a,5,2.0\n"])
+def test_predict_future_z_without_incidence_exits_1(tmp_path, capsys, rows):
+    _write_tables(tmp_path, _predict_tables())
+    future = tmp_path / "future.csv"
+    future.write_text("hospital_id,day,inc\n" + rows)
+    assert _predict(tmp_path) == 1
+    assert (f"{future}: missing columns ['incidence']"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 # Each case puts one bad cell into an otherwise valid predict run: (file,

@@ -13,8 +13,56 @@ from gapfit.errors import ParseError, UsageError
 from gapfit.model import Cohort, HospitalSeries, loss
 from gapfit.optimizer import FitConfig, fit_cohort
 
+from conftest import hostile_cohort
+
 
 # -- SEIR -------------------------------------------------------------------
+
+def _seir_deriv(state, p, n):
+    """The SEIR rates over a 4-element state array, as simulate_seir once
+    computed them."""
+    s, e, i, _ = state
+    new_inf = p.transmission_rate * s * i / n
+    return np.array([-new_inf,
+                     new_inf - p.incubation_rate * e,
+                     p.incubation_rate * e - p.recovery_rate * i,
+                     p.recovery_rate * i])
+
+
+def _reference_seir(params, days, substeps=24):
+    """simulate_seir's former RK4 loop on numpy arrays, kept as its oracle."""
+    n = params.initial.N
+    state = np.array([params.initial.S, params.initial.E,
+                      params.initial.I, params.initial.R])
+    h = 1.0 / substeps
+    incidence = np.empty(days)
+    for d in range(days):
+        s_at_day_start = state[0]
+        for _ in range(substeps):
+            k1 = _seir_deriv(state, params, n)
+            k2 = _seir_deriv(state + 0.5 * h * k1, params, n)
+            k3 = _seir_deriv(state + 0.5 * h * k2, params, n)
+            k4 = _seir_deriv(state + h * k3, params, n)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        incidence[d] = s_at_day_start - state[0]
+    return incidence
+
+
+@pytest.mark.parametrize("params", [
+    SeirParams(),
+    SeirParams(transmission_rate=0.9, incubation_rate=0.5,
+               recovery_rate=0.05),
+    SeirParams(transmission_rate=0.0),
+    SeirParams(initial=SeirState(S=1e6, E=0.0, I=1.0, R=3e5)),
+    SeirParams(transmission_rate=1e-3, initial=SeirState(S=7.5, E=1e-300,
+                                                         I=2.0, R=0.0)),
+])
+@pytest.mark.parametrize("days, substeps", [(1, 1), (3, 7), (70, 24),
+                                            (40, 48)])
+def test_seir_on_floats_matches_array_reference(params, days, substeps):
+    got = simulate_seir(params, days, substeps)
+    assert got.tobytes() == _reference_seir(params, days, substeps).tobytes()
+
 
 def test_seir_conservation():
     params = SeirParams()
@@ -24,7 +72,6 @@ def test_seir_conservation():
     assert inc.sum() <= params.initial.S + 1e-9
     assert np.all(inc >= 0)
     # re-run step by step and check S+E+I+R == N each day
-    from gapfit.datagen import _seir_deriv
     state = np.array([params.initial.S, params.initial.E,
                       params.initial.I, params.initial.R])
     h = 1.0 / 24
@@ -445,3 +492,98 @@ def test_load_cohort_matches_row_by_row_reader(tmp_path, monkeypatch, text,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     assert _outcome(load_cohort, path) == _outcome(_reference_load, path)
+
+
+# -- the column-wise CSV writer ---------------------------------------------
+
+# Ids csv must quote, or must not: delimiters, quotes, line breaks, NUL,
+# surrounding spaces, the empty id and non-ASCII text.
+_HOSTILE_TEXT = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", " a ", "", "é",
+                     "a,b", 'say "hi"', "shared:b1,b2"]),
+    st.text(max_size=4))
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                     5e-324, 1e16, 1e-300, 0.1]),
+    st.floats())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_HOSTILE_TEXT, min_size=3, max_size=3),
+       st.lists(st.lists(st.tuples(_HOSTILE_TEXT, _EDGE_FLOATS, st.booleans(),
+                                   st.integers(-2**63, 2**63 - 1)),
+                         max_size=6), max_size=4))
+@example(header=["hospital_id", "shared:b1,b2", ""], blocks=[[], []])
+@example(header=["", "", ""], blocks=[[("", float("nan"), False, 0)]])
+def test_write_columns_writes_what_csv_writer_writes(tmp_path, header, blocks):
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([text, repr(x) if shown else "", n]
+                         for block in blocks for text, x, shown, n in block)
+    got = tmp_path / "got.csv"
+    datagen._write_columns(got, header, (
+        [datagen._text_cells(text for text, *_ in block),
+         datagen._cells(np.array([x for _, x, _, _ in block], float),
+                        [shown for *_, shown, _ in block]),
+         datagen._cells(np.array([n for *_, n in block], np.int64))]
+        for block in blocks))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_columns_rejects_columns_of_different_lengths(tmp_path):
+    # zip would drop the longer column's last cells without a word
+    with pytest.raises(ValueError):
+        datagen._write_columns(tmp_path / "t.csv", ["a", "b"],
+                               [[["1", "2"], ["3"]]])
+
+
+def _reference_save(cohort, path, truth=None, truth_path=None):
+    """The row-by-row writer that save_cohort replaced, kept as its oracle."""
+    from contextlib import ExitStack
+    from itertools import repeat
+    with ExitStack() as files:
+        writer = csv.writer(files.enter_context(
+            open(path, "w", newline="", encoding="utf-8")))
+        writer.writerow(["hospital_id", "day", "cases", "incidence"])
+        if truth is not None:
+            sidecar = csv.writer(files.enter_context(
+                open(truth_path, "w", newline="", encoding="utf-8")))
+            sidecar.writerow(["hospital_id", "day", "cases", "incidence",
+                              "true_b1", "true_b2", "true_b3", "true_cases"])
+        for k, (hid, n) in enumerate(zip(cohort.ids, cohort.days.tolist())):
+            days = range(1, n + 1)
+            cases = [repr(v) if rep else "" for v, rep in
+                     zip(cohort.y[k, :n].tolist(), cohort.r[k, :n].tolist())]
+            z = list(map(repr, cohort.z[k, :n].tolist()))
+            writer.writerows(zip(repeat(hid), days, cases, z))
+            if truth is not None:
+                beta = truth.betas[k]
+                coefs = (repr(beta.b1), repr(beta.b2), repr(beta.b3))
+                sidecar.writerows(zip(
+                    repeat(hid), days, cases, z, *map(repeat, coefs),
+                    map(repr, map(float, truth.trajectories[k]))))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 4096])
+@pytest.mark.parametrize("with_truth", [False, True])
+def test_save_cohort_writes_what_the_row_writer_wrote(tmp_path, monkeypatch,
+                                                      chunk, with_truth):
+    # small blocks split the cohort between and inside hospitals
+    monkeypatch.setattr(datagen, "_CHUNK_ROWS", chunk)
+    cohort, truth = hostile_cohort()
+    assert len(set(cohort.days.tolist())) == len(cohort)
+    truth = truth if with_truth else None
+    (tmp_path / "want").mkdir()
+    (tmp_path / "got").mkdir()
+    _reference_save(cohort, tmp_path / "want" / "cohort.csv", truth,
+                    tmp_path / "want" / "truth.csv")
+    save_cohort(cohort, tmp_path / "got" / "cohort.csv", truth,
+                tmp_path / "got" / "truth.csv")
+    names = ["cohort.csv", "truth.csv"] if with_truth else ["cohort.csv"]
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "got" / name).read_bytes()
+                == (tmp_path / "want" / name).read_bytes())

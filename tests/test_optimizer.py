@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapfit import autodiff
+from gapfit import autodiff, optimizer
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, Cohort, HospitalSeries, loss
@@ -179,6 +179,22 @@ def test_batch_and_tape_engines_agree():
             assert batch.converged == tape.converged
 
 
+def test_tape_fit_builds_its_rows_once(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(47))
+    cohort = Cohort.from_series([random_gapped_series(rng, T=12, id=str(k))
+                                 for k in range(4)])
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return Cohort(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "Cohort", counted)
+    fit_cohort(cohort, FitConfig(engine="tape", steps=5))
+    # one record for all 5 steps and the final loss, not one per evaluation
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("method, eta", [("gd", 1e3), ("gd", 10.0),
                                          ("adam", 1e3)])
 def test_batch_and_tape_engines_agree_on_diverged_fits(anchor_series, method,
@@ -249,7 +265,7 @@ _TRAILING_OVERFLOW = (np.array([[1.0, 2.0] + [np.nan] * 40]),
 def test_batch_kernel_matches_tape_and_is_row_local(cohort, lam):
     y, r, z, beta = cohort
     loss_b, grad_b = _loss_grad_batch(_Residuals(y, r, z), beta, lam)
-    loss_t, grad_t = _loss_grad_tape(y, z, beta, lam)
+    loss_t, grad_t = _loss_grad_tape(Cohort(range(len(y)), y, z), beta, lam)
     np.testing.assert_allclose(loss_b, loss_t, rtol=1e-9)
     # a component that cancels to near zero is held to its terms' scale
     scale = 1e-12 * (1.0 + np.abs(grad_t).max(axis=1, keepdims=True))
@@ -269,14 +285,14 @@ def test_batch_kernel_matches_tape_and_is_row_local(cohort, lam):
     padded = Cohort(range(K), y, z, days)
     loss_b, grad_b = _loss_grad_batch(
         _Residuals(padded.y, padded.r, padded.z), beta, lam)
-    loss_t, grad_t = _loss_grad_tape(padded.y, padded.z, beta, lam)
+    loss_t, grad_t = _loss_grad_tape(padded, beta, lam)
     np.testing.assert_allclose(loss_b, loss_t, rtol=1e-9)
     scale = 1e-12 * (1.0 + np.abs(grad_t).max(axis=1, keepdims=True))
     assert np.all(np.abs(grad_b - grad_t) <= 1e-9 * np.abs(grad_t) + scale)
     for k, n in enumerate(days):
-        loss_k, grad_k = _loss_grad_tape(padded.y[k:k + 1, :n],
-                                         padded.z[k:k + 1, :n],
-                                         beta[k:k + 1], lam)
+        loss_k, grad_k = _loss_grad_tape(
+            Cohort([k], padded.y[k:k + 1, :n], padded.z[k:k + 1, :n]),
+            beta[k:k + 1], lam)
         assert loss_k.tobytes() == loss_t[k:k + 1].tobytes()
         assert grad_k.tobytes() == grad_t[k:k + 1].tobytes()
 

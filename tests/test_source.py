@@ -42,10 +42,9 @@ def test_module_uses_every_import(path):
 SERIES_BUILDERS = {("model", None)}
 
 
-def series_builds(source):
+def calls(source, matches):
     """(enclosing top-level function or class, None at module level, and
-    line) of every call that builds a HospitalSeries, by name or through
-    ``type(x)(...)``."""
+    line) of every call whose ``ast.Call`` node ``matches``."""
     found = []
 
     def visit(node, where):
@@ -55,19 +54,26 @@ def series_builds(source):
                                                     ast.AsyncFunctionDef,
                                                     ast.ClassDef)):
                 inner = child.name
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute)
-                        else None)
-                if name == "HospitalSeries" or (
-                        isinstance(func, ast.Call)
-                        and getattr(func.func, "id", None) == "type"):
-                    found.append((where, child.lineno))
+            if isinstance(child, ast.Call) and matches(child):
+                found.append((where, child.lineno))
             visit(child, inner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _called_name(call):
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def series_builds(source):
+    """Where ``source`` builds a HospitalSeries, by name or through
+    ``type(x)(...)`` (see :func:`calls`)."""
+    return calls(source, lambda call: _called_name(call) == "HospitalSeries"
+                 or (isinstance(call.func, ast.Call)
+                     and getattr(call.func.func, "id", None) == "type"))
 
 
 def test_series_build_detector():
@@ -86,3 +92,32 @@ def test_series_built_only_where_a_row_is_needed(path):
               if (module, None) not in SERIES_BUILDERS
               and (module, where) not in SERIES_BUILDERS]
     assert builds == []
+
+
+# Where csv may write: the quoting fallback of datagen's one CSV writer.
+# Every artifact goes through datagen._write_columns.
+CSV_WRITERS = {("datagen", "_text_cells")}
+
+
+def csv_writes(source):
+    """Where ``source`` makes a csv writer: ``csv.writer`` or
+    ``csv.DictWriter``, by attribute or by an imported name."""
+    return calls(source, lambda call: _called_name(call) in ("writer",
+                                                             "DictWriter"))
+
+
+def test_csv_write_detector():
+    source = ("import csv\nw = csv.writer(fh)\n"
+              "def f(fh):\n    return csv.DictWriter(fh, [])\n"
+              "class C:\n    def g(self):\n        return writer(x)\n"
+              "def h():\n    return self.writers(x), writerow(x)\n")
+    assert csv_writes(source) == [(None, 2), ("f", 4), ("C", 7)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_csv_written_only_by_the_one_writer(path):
+    module = path.stem
+    found = [(where, line) for where, line in
+             csv_writes(path.read_text(encoding="utf-8"))
+             if (module, where) not in CSV_WRITERS]
+    assert found == []
