@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from gapfit.datagen import CohortTruth
+from gapfit.errors import ParseError
 from gapfit.model import Beta, Cohort, HospitalSeries
 
 # one line per acceptance criterion, echoed after the run (see
@@ -70,3 +73,21 @@ def hostile_cohort():
     betas[0] = Beta(-0.0, 5e-324, 1e16)
     return (Cohort.from_series(series),
             CohortTruth(betas, trajectories, incidence_scale=0.01))
+
+
+def _parse_count(cell, what, path, lineno):
+    """A finite, nonnegative count from one CSV cell.
+
+    Anything else raises :class:`ParseError` naming the file and line.
+    """
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}:{lineno}: bad {what} {cell!r}",
+                         line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno}: non-finite {what} {cell!r}",
+                         line=lineno)
+    if value < 0:
+        raise ParseError(f"{path}:{lineno}: negative {what}", line=lineno)
+    return value

@@ -1,18 +1,20 @@
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gapfit import autodiff, cli, datagen
 from gapfit.cli import main
 from gapfit.datagen import save_cohort
 from gapfit.errors import (EvaluationError, GapfitError, InsufficientDataError,
                            ParseError, TapeMismatchError, UsageError)
-from gapfit.model import HospitalSeries, loss, predict_trajectory
+from gapfit.model import Beta, HospitalSeries, loss, predict_trajectory
 
-from conftest import HOSTILE_IDS, hostile_cohort
+from conftest import HOSTILE_IDS, _parse_count, hostile_cohort
 
 
 def _run(*argv):
@@ -577,6 +579,178 @@ def test_bad_bytes_exit_1_naming_the_file(tmp_path, capsys, target, kind):
     else:
         assert f"{path}:{line}: field larger than field limit" in err
     assert not (tmp_path / "out").exists()
+
+
+# -- the params and future-z readers against row-by-row ones ----------------
+
+def _reference_rows(path, names):
+    """(physical line, cells of ``names``) per record of a CSV file, read by
+    csv.DictReader; a header without all of ``names`` raises as the readers
+    do."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = sorted(set(names) - set(reader.fieldnames or ()))
+        if missing:
+            raise ParseError(f"{path}: missing columns {missing}", line=1)
+        for row in reader:
+            yield reader.line_num, [row[name] for name in names]
+
+
+def _reference_params(path):
+    """The row-by-row params reader, kept as the oracle of _load_params."""
+    betas = {}
+    for line, (hid, *cells) in _reference_rows(
+            path, ["hospital_id", "b1", "b2", "b3"]):
+        if not cells[0]:
+            continue
+        try:
+            if hid is None:
+                raise KeyError("hospital_id")
+            coefs = [float(c) for c in cells]
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{path}:{line}: bad parameter row",
+                             line=line) from None
+        if not np.isfinite(coefs).all():
+            raise ParseError(f"{path}:{line}: non-finite coefficient",
+                             line=line)
+        if hid in betas:
+            raise ParseError(
+                f"{path}:{line}: duplicate parameters for {hid!r}", line=line)
+        betas[hid] = Beta(*coefs)
+    return betas
+
+
+def _reference_future_z(path):
+    """The row-by-row future-z reader, kept as the oracle of
+    _load_future_z."""
+    future_z = {}
+    for line, (hid, day, cell) in _reference_rows(
+            path, ["hospital_id", "day", "incidence"]):
+        try:
+            if hid is None:
+                raise KeyError("hospital_id")
+            day = int(day)
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{path}:{line}: bad future-z row",
+                             line=line) from None
+        value = _parse_count(cell, "incidence", path, line)
+        if (hid, day) in future_z:
+            raise ParseError(f"{path}:{line}: duplicate day {day} for {hid!r}",
+                             line=line)
+        future_z[hid, day] = value
+    return future_z
+
+
+# Headers with reordered, extra, repeated (the last one counts) and missing
+# columns, per file.
+_TABLE_HEADERS = {
+    "params": [["hospital_id", "b1", "b2", "b3"],
+               ["b3", "note", "b1", "hospital_id", "b2"],
+               ["hospital_id", "b1", "b2", "b3", "b1"],
+               ["b1", "b2", "b3", "hospital_id", "hospital_id"],
+               ["hospital_id", "b1", "b3"]],
+    "future": [["hospital_id", "day", "incidence"],
+               ["incidence", "note", "day", "hospital_id"],
+               ["hospital_id", "day", "day", "incidence"],
+               ["day", "incidence", "hospital_id", "hospital_id"],
+               ["hospital_id", "incidence"]],
+}
+_BAD_CELLS = st.one_of(
+    st.sampled_from(["", " ", "1_0", " 3 ", "nan", "-0.0", "1e400", "-1", "0",
+                     "\x00", "\u0663", "+2", "\u2003", "-inf", "5e-324",
+                     "99999999999999999999", "x"]),
+    st.text(max_size=3))
+_NUMBERS = st.floats(-1.0, 5.0).map(repr)
+_COUNTS = st.floats(0.0, 1e12).map(repr)
+
+
+@st.composite
+def _table_texts(draw, target):
+    """A params or future-z file: valid rows for up to three hospitals,
+    then shuffled, with garbage put in a cell or a whole row, rows cut
+    short, lengthened, repeated or dropped, and blank lines put in."""
+    header = draw(st.sampled_from(_TABLE_HEADERS[target]))
+    ids = draw(st.lists(st.sampled_from(["a", "b", "", " c ", "None", "a\nb"]),
+                        min_size=1, max_size=3, unique=True))
+    records = []
+    for hid in ids:
+        # up to two params rows per hospital, so not every file repeats
+        # one; a row with an empty b1 is skipped and repeats none
+        for day in range(5, 5 + draw(st.integers(1, 3 if target == "future"
+                                                 else 2))):
+            cells = {"hospital_id": hid, "day": str(day),
+                     "b1": draw(st.sampled_from(["", "", "nan", "0.1"])
+                                | _NUMBERS),
+                     "b2": draw(_NUMBERS), "b3": draw(_NUMBERS),
+                     "incidence": draw(st.sampled_from(["-1", "inf", " 2 "])
+                                       | _COUNTS)}
+            records.append([cells[name] if name in cells
+                            and name not in header[i + 1:]
+                            else draw(_BAD_CELLS)
+                            for i, name in enumerate(header)])
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    for kind in draw(st.lists(st.sampled_from(
+            ["garbage"] * 3 + ["garbled", "short", "long", "blank",
+                               "repeat", "drop"]), max_size=4)):
+        if not records:
+            break
+        i = draw(st.integers(0, len(records) - 1))
+        row = list(records[i])
+        if kind == "garbage" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_CELLS)
+        elif kind == "garbled":
+            row = [draw(_BAD_CELLS) for _ in row]
+        elif kind == "short" and row:
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif kind == "long":
+            row.append(draw(_BAD_CELLS))
+        elif kind == "blank":
+            row = []
+        elif kind == "repeat":
+            records.insert(i, records[draw(st.integers(0, len(records) - 1))])
+        elif kind == "drop":
+            del records[i]
+            continue
+        records[i] = row
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n",
+                                                                  "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(records)
+    return out.getvalue()
+
+
+_TABLE_READERS = {
+    "params": (cli._load_params, _reference_params),
+    "future": (lambda path: cli._load_future_z(path, "incidence"),
+               _reference_future_z),
+}
+
+
+def _table_outcome(load, path):
+    """What ``load`` makes of ``path``: each entry with its values'
+    reprs, or the message and line of the error it raises."""
+    try:
+        table = load(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return [(key, repr(value)) for key, value in table.items()]
+
+
+@pytest.mark.parametrize("target", ["params", "future"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), chunk=st.sampled_from([1, 2, 3, 7, 4096]))
+def test_table_readers_match_row_by_row_readers(tmp_path, monkeypatch,
+                                                target, data, chunk):
+    # small chunks put chunk boundaries between any two records
+    monkeypatch.setattr(datagen, "_CHUNK_ROWS", chunk)
+    path = tmp_path / f"{target}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(data.draw(_table_texts(target)))
+    load, reference = _TABLE_READERS[target]
+    assert _table_outcome(load, path) == _table_outcome(reference, path)
 
 
 def test_benchmark_on_two_day_series_flags_models_needing_more_days(tmp_path):

@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gapfit import cli, datagen
 from gapfit.datagen import (MissingnessSpec, SeirParams, SeirState, SimSpec,
-                            _parse_count, load_cohort, missingness_mask,
-                            save_cohort, simulate_cohort, simulate_seir)
+                            load_cohort, missingness_mask, save_cohort,
+                            simulate_cohort, simulate_seir)
 from gapfit.errors import ParseError, UsageError
 from gapfit.model import Cohort, HospitalSeries, loss
 from gapfit.optimizer import FitConfig, fit_cohort
 
-from conftest import hostile_cohort
+from conftest import _parse_count, hostile_cohort
 
 
 # -- SEIR -------------------------------------------------------------------
@@ -484,6 +484,13 @@ def _outcome(load, path):
 @example(text="hospital_id,day,cases,incidence,hospital_id\n"
          "a,1,3.0,1.0\nb,1,3.0,1.0,None\n", chunk=7)
 @example(text=_HEADER + "a,1,3.0,1.0\n,1,3.0,1.0\n", chunk=1)
+# which fault of which record comes first: a bad cell before the repeat it
+# makes, bad days whose fill values repeat, and a repeat before a bad cell
+@example(text=_HEADER + "a,1,1,1\na,1,-1,1\n", chunk=7)
+@example(text=_HEADER + "a,x,1,1\na,y,1,1\n", chunk=1)
+@example(text=_HEADER + "a,x,1,1\nb,1,1,1\nb,1,1,1\n", chunk=1)
+@example(text=_HEADER + "a,1,1,1\na,2,1,1\na,1,1,1\na,3,nan,1\n", chunk=2)
+@example(text=_HEADER + "a,0,1,1\na,0,1,1\n", chunk=7)
 def test_load_cohort_matches_row_by_row_reader(tmp_path, monkeypatch, text,
                                                chunk):
     # small chunks put chunk boundaries between any two records
