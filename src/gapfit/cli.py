@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__, autodiff
 from .benchmarks import BenchmarkKind
 from .datagen import (MissingnessSpec, SimSpec, _cells, _codes,
-                      _CsvColumns, _is_count, _parse_cells, _parse_count,
-                      _series_blocks, _text_cells, _write_columns,
-                      load_cohort, save_cohort, simulate_cohort)
+                      _CsvColumns, _parse_cells, _series_blocks, _text_cells,
+                      _write_columns, load_cohort, save_cohort,
+                      simulate_cohort)
 from .errors import (EvaluationError, GapfitError, InsufficientDataError,
                      ParseError, UsageError)
 from .evaluation import (BenchmarkPredictor, IncrementPredictor,
@@ -356,35 +356,22 @@ def _load_params(path):
     def convert(start, columns):
         hid, *cells = columns
         used = np.fromiter(map(bool, cells[0]), bool, len(hid))
-        coefs = np.column_stack([_parse_cells(float, c, np.nan)[0]
-                                 for c in cells])
+        coefs, bad = zip(*(_parse_cells(float, c, np.nan) for c in cells))
+        coefs = np.column_stack(coefs)
         # a skipped row keys on its own position (< 0), so it repeats no row
         hosp = -1 - np.arange(start, start + len(hid))
         hosp[used] = _codes([h for h, u in zip(hid, used.tolist()) if u], ids)
         # a row too short to reach its hospital_id has the id None
         unnamed = np.equal(np.array(hid, object), None)
-        bad = used & (~np.isfinite(coefs).all(axis=1) | unnamed)
-        return (hosp,), (coefs,), bad
+        return (hosp,), (coefs,), [
+            used & (unnamed | np.any(bad, axis=0)),
+            used & ~np.isfinite(coefs).all(axis=1)]
 
-    def check(line, cells, repeated):
-        hid, *cells = cells
-        try:
-            if hid is None:
-                raise KeyError("hospital_id")
-            coefs = [float(c) for c in cells]
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"{path}:{line}: bad parameter row",
-                             line=line) from None
-        if not np.isfinite(coefs).all():
-            raise ParseError(f"{path}:{line}: non-finite coefficient",
-                             line=line)
-        if repeated:
-            raise ParseError(
-                f"{path}:{line}: duplicate parameters for {hid!r}", line=line)
-
+    messages = ["bad parameter row", "non-finite coefficient",
+                "duplicate parameters for {cells[0]!r}"]
     names = ["hospital_id", "b1", "b2", "b3"]
     with _CsvColumns(path, names) as table:
-        _, (hosp,), (coefs,) = table.read(convert, check)
+        _, (hosp,), (coefs,) = table.read(convert, messages)
     return {hid: Beta(*c) for hid, c in zip(ids, coefs[hosp >= 0].tolist())}
 
 
@@ -397,27 +384,17 @@ def _load_future_z(path, incidence_column):
 
     def convert(start, columns):
         hid, day, cells = columns
-        day, bad = _parse_cells(int, day, 0)
-        z = _parse_cells(float, cells, np.nan)[0]
-        bad |= ~_is_count(z) | np.equal(np.array(hid, object), None)
-        return (_codes(hid, ids), day), (z,), bad
+        day, bad_day = _parse_cells(int, day, 0)
+        z, bad_z = _parse_cells(float, cells, np.nan)
+        unnamed = np.equal(np.array(hid, object), None)
+        return (_codes(hid, ids), day), (z,), [
+            unnamed | bad_day, bad_z, ~np.isfinite(z), z < 0]
 
-    def check(line, cells, repeated):
-        hid, day, cell = cells
-        try:
-            if hid is None:
-                raise KeyError("hospital_id")
-            day = int(day)
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"{path}:{line}: bad future-z row",
-                             line=line) from None
-        _parse_count(cell, "incidence", path, line)
-        if repeated:
-            raise ParseError(f"{path}:{line}: duplicate day {day} for {hid!r}",
-                             line=line)
-
+    messages = ["bad future-z row", "bad incidence {cells[2]!r}",
+                "non-finite incidence {cells[2]!r}", "negative incidence",
+                "duplicate day {keys[1]} for {cells[0]!r}"]
     with _CsvColumns(path, names) as table:
-        _, (hosp, day), (z,) = table.read(convert, check)
+        _, (hosp, day), (z,) = table.read(convert, messages)
     hids = list(ids)
     return {(hids[h], d): value
             for h, d, value in zip(hosp.tolist(), day.tolist(), z.tolist())}
@@ -434,29 +411,31 @@ def cmd_predict(args):
         raise UsageError("--future-z is required when horizon > 0")
     future_z = (_load_future_z(args["future_z"], args["incidence_column"])
                 if horizon > 0 else {})  # (hospital id, day) -> incidence
-    # Forecast days are unreported days past each row's own last day.  The
-    # incidence of day ``days + horizon`` feeds no prediction and stays 0.
-    y = np.pad(cohort.y, ((0, 0), (0, horizon)), constant_values=np.nan)
-    z = np.pad(cohort.z, ((0, 0), (0, horizon)))
     kept = []
     for k, (hid, n) in enumerate(zip(cohort.ids, cohort.days.tolist())):
         if hid not in betas:
             log.warning("no parameters for %s, skipped", hid)
             continue
-        future = range(n + 1, n + horizon)
-        missing = [d for d in future if (hid, d) not in future_z]
-        if missing:
-            raise UsageError(f"future z missing for {hid} day {missing[0]}")
-        z[k, n:n + horizon - 1] = [future_z[hid, d] for d in future]
+        missing = next((d for d in range(n + 1, n + horizon)
+                        if (hid, d) not in future_z), None)
+        if missing is not None:
+            raise UsageError(f"future z missing for {hid} day {missing}")
         kept.append(k)
+    # Forecast days are unreported days past each row's own last day.  The
+    # incidence of day ``days + horizon`` feeds no prediction and stays 0.
+    y = np.pad(cohort.y[kept], ((0, 0), (0, horizon)), constant_values=np.nan)
+    z = np.pad(cohort.z[kept], ((0, 0), (0, horizon)))
+    ids, days = [cohort.ids[k] for k in kept], cohort.days[kept]
+    for row, (hid, n) in enumerate(zip(ids, days.tolist())):
+        z[row, n:n + horizon - 1] = [future_z[hid, d]
+                                     for d in range(n + 1, n + horizon)]
     # the recursion is causal, so the padding leaves each row's days as they are
-    y, r = y[kept], np.isfinite(y[kept])
-    coefs = np.array([betas[cohort.ids[k]].as_array() for k in kept])
+    r = np.isfinite(y)
+    coefs = np.array([betas[hid].as_array() for hid in ids])
     y_tilde, dy_hat = predict_trajectory(
-        y, r, z[kept] * args["incidence_scale"], coefs.reshape(-1, 3))
+        y, r, z * args["incidence_scale"], coefs.reshape(-1, 3))
     # each row's days, then its forecast days; a state exists from the
     # first report on, an increment after it
-    days = cohort.days[kept]
     t = np.arange(y.shape[1])
     since = t - np.argmax(r, axis=1)[:, None]  # days since the first report
     kind = np.select([t >= days[:, None], since < 0, r],
@@ -464,7 +443,7 @@ def cmd_predict(args):
     _write_columns(
         _artifact(outdir, "trajectory.csv"),
         ["hospital_id", "day", "observed", "y_tilde", "dy_hat", "kind"],
-        _series_blocks([cohort.ids[k] for k in kept], days + horizon,
+        _series_blocks(ids, days + horizon,
                        [(y, r), (y_tilde, since >= 0), (dy_hat, since > 0),
                         kind]))
     _write_manifest(outdir, "predict", args, ["trajectory.csv"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -428,33 +427,35 @@ class _CsvColumns:
         line = self._reader.line_num
         return ParseError(f"{self.path}:{line}: {exc}", line=line)
 
-    def read(self, convert, check):
+    def read(self, convert, messages):
         """Convert and check every record; returns ``(order, keys, values)``.
 
         ``convert(start, columns)`` turns one chunk of columns, whose first
-        record is record ``start``, into ``(keys, values, bad)``: tuples of
-        arrays over its records and a mask of the records with a faulty
-        cell.  A record whose keys all equal an earlier record's is faulty
-        too.  The first faulty record in file order raises its error through
-        ``check(line, cells, repeated)``, which runs a row-by-row reader's
-        checks on that record's raw cells.  The chunks' arrays come back
+        record is record ``start``, into ``(keys, values, faults)``: tuples of
+        arrays over its records, and a mask per rule of the records that
+        break it, in order of precedence.  A record whose keys all equal an
+        earlier record's breaks one more rule, the last.  The first faulty
+        record in file order raises ``messages[i]`` for the first rule ``i``
+        it breaks (see :meth:`_fault`).  The chunks' arrays come back
         joined, with ``order`` sorting the records stably by their keys.
         """
-        chunks = []
-        for start, columns in self._chunks():
-            keys, values, bad = convert(start, columns)
-            if bad.any():
-                first = int(np.argmax(bad))
-                before = [k for k, _ in chunks] + [[k[:first] for k in keys]]
-                repeat = _sort(*map(np.concatenate, zip(*before)))[1]
-                self._fault(check, start + first if repeat is None else repeat,
-                            repeat is not None)
-            chunks.append((keys, values))
-        keys, values = ([np.concatenate(arrays) for arrays in zip(*part)]
-                        for part in zip(*chunks))
-        order, repeat = _sort(*keys)
-        if repeat is not None:
-            self._fault(check, repeat, True)
+        chunks = [convert(start, columns) for start, columns in self._chunks()]
+        keys, values, faults = ([np.concatenate(arrays) for arrays in zip(*part)]
+                                for part in zip(*chunks))
+        # in the stable order, a record repeats when its keys equal the
+        # keys of the record before it
+        order = np.lexsort(keys[::-1])
+        same = np.ones(max(len(order) - 1, 0), bool)
+        for key in keys:
+            key = key[order]
+            same &= key[1:] == key[:-1]
+        repeated = np.zeros(len(order), bool)
+        repeated[order[1:][same]] = True
+        faults = np.array(faults + [repeated])
+        if faults.any():
+            record = int(np.argmax(faults.any(axis=0)))
+            self._fault(record, messages[int(np.argmax(faults[:, record]))],
+                        [key[record] for key in keys])
         if self._error is not None:
             raise self._error
         return order, keys, values
@@ -482,15 +483,21 @@ class _CsvColumns:
                               for i in self._columns]
                 start += len(rows)
 
-    def _fault(self, check, record, repeated):
-        """Raise the error of data record ``record``, reading the file again
-        for its physical line (csv's ``line_num``) and its raw cells."""
+    def _fault(self, record, message, keys):
+        """Raise ``message`` as the error of data record ``record``, reading
+        the file again for its physical line (csv's ``line_num``) and its raw
+        cells.  ``message`` is a format string over the record's raw
+        ``cells``, those cells ``stripped`` (see :func:`_stripped`) and the
+        record's ``keys``."""
         with open(self.path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)
             row = next(islice(filter(None, reader), record, None))
-            cells = [row[i] if i < len(row) else None for i in self._columns]
-            check(reader.line_num, cells, repeated)
+        cells = [row[i] if i < len(row) else None for i in self._columns]
+        line = reader.line_num
+        message = message.format(cells=cells, stripped=_stripped(cells),
+                                 keys=keys)
+        raise ParseError(f"{self.path}:{line}: {message}", line=line)
 
 
 def _codes(cells, index):
@@ -530,41 +537,6 @@ def _stripped(cells):
         return [(cell or "").strip() for cell in cells]
 
 
-def _is_count(values):
-    """Mask of the values :func:`_parse_count` accepts."""
-    return np.isfinite(values) & (values >= 0)
-
-
-def _sort(*keys):
-    """Stable order of records by ``keys``, and the first record in file
-    order whose keys all equal an earlier record's (None if none does)."""
-    order = np.lexsort(keys[::-1])
-    same = np.ones(max(len(order) - 1, 0), bool)
-    for key in keys:
-        key = key[order]
-        same &= key[1:] == key[:-1]
-    repeats = order[1:][same]
-    return order, (int(repeats.min()) if repeats.size else None)
-
-
-def _parse_count(cell, what, path, lineno):
-    """A finite, nonnegative count from one CSV cell.
-
-    Anything else raises :class:`ParseError` naming the file and line.
-    """
-    try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}:{lineno}: bad {what} {cell!r}",
-                         line=lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{path}:{lineno}: non-finite {what} {cell!r}",
-                         line=lineno)
-    if value < 0:
-        raise ParseError(f"{path}:{lineno}: negative {what}", line=lineno)
-    return value
-
-
 def load_cohort(path, incidence_column="incidence"):
     """Parse a cohort CSV; returns (:class:`~gapfit.model.Cohort`, warnings).
 
@@ -578,45 +550,31 @@ def load_cohort(path, incidence_column="incidence"):
 
     def convert(start, columns):
         hid, day, cases, inc = columns
-        day, bad = _parse_cells(int, day, 0)
-        cases = _stripped(cases)
+        day, bad_day = _parse_cells(int, day, 0)
+        cases, inc = _stripped(cases), _stripped(inc)
         reported = np.fromiter(map(bool, cases), bool, len(cases))
-        y = np.full(len(cases), np.nan)
-        y[reported] = _parse_cells(float, list(filter(None, cases)), np.nan)[0]
-        z = _parse_cells(float, _stripped(inc), np.nan)[0]
+        y, bad_y = np.full(len(cases), np.nan), np.zeros(len(cases), bool)
+        y[reported], bad_y[reported] = _parse_cells(
+            float, list(filter(None, cases)), np.nan)
+        z, bad_z = _parse_cells(float, inc, np.nan)
         hosp = _codes(hid, ids)
         unnamed = [code for h, code in ids.items() if not h]
-        bad |= (np.isin(hosp, unnamed) | (day < 1)
-                | (reported & ~_is_count(y)) | ~_is_count(z))
-        return (hosp, day), (y, z), bad
+        return (hosp, day), (y, z), [
+            np.isin(hosp, unnamed), bad_day, day < 1,
+            bad_y, reported & ~np.isfinite(y), y < 0,
+            ~np.fromiter(map(bool, inc), bool, len(inc)), bad_z,
+            ~np.isfinite(z), z < 0]
 
-    def check(line, cells, repeated):
-        hid, day, cases, inc = cells
-        if not hid:
-            raise ParseError(f"{path}:{line}: missing hospital_id", line=line)
-        try:
-            day = int(day)
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}:{line}: bad day {day!r}",
-                             line=line) from None
-        if day < 1:
-            raise ParseError(f"{path}:{line}: day must be >= 1", line=line)
-        cases = (cases or "").strip()
-        if cases:
-            _parse_count(cases, "cases", path, line)
-        inc = (inc or "").strip()
-        if not inc:
-            raise ParseError(
-                f"{path}:{line}: missing incidence (z must be complete)",
-                line=line)
-        _parse_count(inc, "incidence", path, line)
-        if repeated:
-            raise ParseError(f"{path}:{line}: duplicate day {day} for {hid!r}",
-                             line=line)
-
+    messages = ["missing hospital_id", "bad day {cells[1]!r}",
+                "day must be >= 1", "bad cases {stripped[2]!r}",
+                "non-finite cases {stripped[2]!r}", "negative cases",
+                "missing incidence (z must be complete)",
+                "bad incidence {stripped[3]!r}",
+                "non-finite incidence {stripped[3]!r}", "negative incidence",
+                "duplicate day {keys[1]} for {cells[0]!r}"]
     required = ["hospital_id", "day", "cases", incidence_column]
     with _CsvColumns(path, required, key="hospital_id") as table:
-        order, (hosp, day), (y, z) = table.read(convert, check)
+        order, (hosp, day), (y, z) = table.read(convert, messages)
     hosp, day, y, z = hosp[order], day[order], y[order], z[order]
     counts = np.bincount(hosp, minlength=len(ids))
     # days are distinct and >= 1, so they are 1..n exactly when the last is n

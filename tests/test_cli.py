@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,6 +472,25 @@ def test_predict_future_z_without_incidence_exits_1(tmp_path, capsys, rows):
     assert _predict(tmp_path) == 1
     assert (f"{future}: missing columns ['incidence']"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_checks_future_z_before_padding_the_horizon(tmp_path, capsys):
+    # future.csv covers days 5-7 only; the horizon would need 8 MB a row
+    _write_tables(tmp_path, _predict_tables())
+    tracemalloc.start()
+    try:
+        rc = _run("predict", "--input", str(tmp_path / "cohort.csv"),
+                  "--output-dir", str(tmp_path / "out"),
+                  "--params", str(tmp_path / "params.csv"),
+                  "--horizon", "1000000",
+                  "--future-z", str(tmp_path / "future.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "future z missing for a day 8" in capsys.readouterr().err
+    assert peak < 5_000_000
     assert not (tmp_path / "out").exists()
 
 

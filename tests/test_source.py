@@ -121,3 +121,32 @@ def test_csv_written_only_by_the_one_writer(path):
              csv_writes(path.read_text(encoding="utf-8"))
              if (module, where) not in CSV_WRITERS]
     assert found == []
+
+
+# Where a ParseError may name a line: datagen's one CSV reader, which formats
+# every record fault from its reader's fault table.
+LINE_ERRORS = {("datagen", "_CsvColumns")}
+
+
+def line_errors(source):
+    """Where ``source`` builds a ``ParseError(..., line=...)``."""
+    return calls(source, lambda call: _called_name(call) == "ParseError"
+                 and any(kw.arg == "line" for kw in call.keywords))
+
+
+def test_line_error_detector():
+    source = ("raise ParseError('a', line=1)\n"
+              "def f(n):\n    raise errors.ParseError('b', line=n)\n"
+              "class C:\n    def g(self):\n"
+              "        return ParseError('c', line=3), ParseError('d')\n"
+              "def h():\n    return ParseError('e'), OtherError('f', line=2)\n")
+    assert line_errors(source) == [(None, 1), ("f", 3), ("C", 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_record_faults_formatted_only_by_the_one_reader(path):
+    module = path.stem
+    found = [(where, line) for where, line in
+             line_errors(path.read_text(encoding="utf-8"))
+             if (module, where) not in LINE_ERRORS]
+    assert found == []
