@@ -401,14 +401,16 @@ def _load_future_z(path, incidence_column):
 
 
 def cmd_predict(args):
-    cohort, _ = _load(args)
-    outdir = args["output_dir"]
-    betas = _load_params(args["params"])
     horizon = args["horizon"]
     if horizon < 0:
         raise UsageError("horizon must be >= 0")
     if horizon > 0 and not args.get("future_z"):
         raise UsageError("--future-z is required when horizon > 0")
+    if args["incidence_scale"] <= 0:
+        raise UsageError("incidence_scale must be positive")
+    cohort, _ = _load(args)
+    outdir = args["output_dir"]
+    betas = _load_params(args["params"])
     future_z = (_load_future_z(args["future_z"], args["incidence_column"])
                 if horizon > 0 else {})  # (hospital id, day) -> incidence
     kept = []
@@ -490,7 +492,33 @@ def cmd_rerun(args):
     run_args = _ManifestArgs(path, manifest["args"])
     if args.get("output_dir"):
         run_args["output_dir"] = args["output_dir"]
+    _check_manifest_args(path, command, run_args)
     return _dispatch(_HANDLERS[command], run_args)
+
+
+def _check_manifest_args(path, command, args):
+    """Hold each of a manifest's args to the option of ``command``'s own
+    parser that writes it: an int for an int option (a bool is none), a
+    number for a float option, a bool for a flag, text for any other option
+    (or null where it is optional with no default), and one of its choices.
+    The seed is left to :func:`_dispatch`, which checks it for every run."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for action in sub.choices[command]._actions:
+        if action.dest not in args or action.dest == "seed":
+            continue
+        value = args[action.dest]
+        if action.nargs == 0:
+            ok = isinstance(value, bool)
+        else:
+            kinds = {int: int, float: (int, float)}.get(action.type, str)
+            ok = (isinstance(value, kinds) and not isinstance(value, bool)
+                  or value is None and action.default is None
+                  and not action.required)
+        if ok and action.choices is not None:
+            ok = value in action.choices
+        if not ok:
+            raise UsageError(f"{path}: manifest arg {action.dest!r} has "
+                             f"the invalid value {value!r}")
 
 
 def build_parser():

@@ -6,25 +6,19 @@ There is one cohort fit path: :func:`fit` and :func:`fit_cohort` call
 GD/ADAM updates, divergence masking and convergence judgement for a whole
 cohort, and it owns every rule of a shared dimension: a common start, a
 common step size, an average after every step and a convergence test on the
-joint loss.  It takes the loss and gradient of every hospital from one of two
-kernels with the same contract:
+joint loss.  It takes the loss and gradient of every hospital from one
+gap-aware numpy kernel over the cohort, :func:`_loss_grad_batch`.  Once per
+fit, :class:`_Residuals` splits the scored residuals by whether the previous
+day was reported.  Those that follow a report are linear in beta and are
+scored each step in one dense masked pass.  Those that close a reporting gap
+are flattened into segments and bridged one gap depth at a time, carrying the
+state and its three forward sensitivities d(state)/d(beta).  The test suite
+pins this kernel, alone and through the driver, to the reverse-mode tape of
+:func:`gapfit.model.loss` and to finite differences.
 
-* ``batch`` (default): a gap-aware numpy kernel over the cohort.  Once per
-  fit, :class:`_Residuals` splits the scored residuals by whether the
-  previous day was reported.  Those that follow a report are linear in beta
-  and are scored each step in one dense masked pass.  Those that close a
-  reporting gap are flattened into segments and bridged one gap depth at a
-  time, carrying the state and its three forward sensitivities
-  d(state)/d(beta).  The test suite pins this kernel against the tape engine
-  and against finite differences.
-* ``tape``: the reverse-mode autodiff engine from :mod:`gapfit.autodiff`,
-  differentiating :func:`gapfit.model.loss` of the whole cohort in one
-  reverse sweep over (K,) tape values.  It is the reference the batch kernel
-  is checked against.
-
-Both engines are deterministic, and a hospital's result does not depend on
-which other hospitals share its batch: identical inputs produce bit-identical
-fits.  A row whose loss or gradient turns non-finite gets NaN from either.
+The kernel is deterministic, and a hospital's result does not depend on which
+other hospitals share its batch: identical inputs produce bit-identical fits.
+A row whose loss or gradient turns non-finite gets NaN.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ import numpy as np
 
 from . import autodiff
 from .errors import InsufficientDataError, UsageError
-from .model import Beta, Cohort, loss as model_loss
+from .model import Beta, Cohort
 
 __all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "l2_penalty",
            "detect_divergence", "jacobi_etas", "warm_start_inits"]
@@ -60,7 +54,6 @@ class FitConfig:
     ``auto_eta`` replaces ``eta`` with per-hospital steps from
     :func:`jacobi_etas` (scaled by ``eta_safety``); ``warm_start`` replaces
     ``init`` with per-hospital OLS starts from :func:`warm_start_inits`.
-    Both apply to either engine.
     """
 
     eta: tuple = (1e-3, 1e-3, 1e-4)
@@ -69,7 +62,6 @@ class FitConfig:
     init: Beta = field(default_factory=Beta)
     method: str = "gd"
     incidence_scale: float = 0.01
-    engine: str = "batch"
     auto_eta: bool = False
     eta_safety: float = 0.2
     warm_start: bool = False
@@ -84,8 +76,6 @@ class FitConfig:
             raise UsageError("lambda must be nonnegative")
         if self.method not in ("gd", "adam"):
             raise UsageError(f"unknown method {self.method!r}")
-        if self.engine not in ("batch", "tape"):
-            raise UsageError(f"unknown engine {self.engine!r}")
         if self.incidence_scale <= 0:
             raise UsageError("incidence_scale must be positive")
         if self.eta_safety <= 0:
@@ -225,23 +215,6 @@ def _loss_grad_batch(res, beta, lam):
     return lossv, grad
 
 
-def _loss_grad_tape(rows, beta, lam):
-    """Same contract as :func:`_loss_grad_batch`, from the loss on a tape.
-
-    Takes the fit's rows as a :class:`~gapfit.model.Cohort` in place of the
-    layout and differentiates :func:`gapfit.model.loss` (plus the L2
-    penalty) of every row in one reverse sweep over (K,) tape values; a row
-    whose evaluation turns non-finite gets NaN.
-    """
-
-    def objective(b):
-        val = model_loss(rows, b)
-        return val + l2_penalty(b, lam) if lam > 0.0 else val
-
-    res = autodiff.gradient(objective, beta.T)
-    return res.value, np.stack(res.gradient, axis=1)
-
-
 def _per_row(values, K):
     return np.array(np.broadcast_to(np.asarray(values, dtype=float), (K, 3)))
 
@@ -250,10 +223,9 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                history=None):
     """The one driver of every cohort fit, with or without shared dimensions.
 
-    ``config.engine`` picks the loss-and-gradient kernel.  ``shared_dims``
-    holds 0-based coefficient indices that start from one common value, step
-    with one common size and are averaged across active hospitals after every
-    step.  ``eta`` and ``init`` may replace the config step sizes / initial
+    ``shared_dims`` holds 0-based coefficient indices that start from one
+    common value, step with one common size and are averaged across active
+    hospitals after every step.  ``eta`` and ``init`` may replace the config step sizes / initial
     parameters with per-hospital (K, 3) arrays.  ``history``, when a list,
     receives a copy of the (K, 3) parameters after every step.
 
@@ -273,10 +245,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
         # descent step on the joint objective; take the most conservative one.
         eta[:, j] = eta[:, j].min()
     adam = config.method == "adam"
-    if config.engine == "tape":
-        loss_grad = partial(_loss_grad_tape, Cohort(range(K), y, z))
-    else:
-        loss_grad = partial(_loss_grad_batch, _Residuals(y, r, z))
+    loss_grad = partial(_loss_grad_batch, _Residuals(y, r, z))
     m = np.zeros((K, 3))
     v = np.zeros((K, 3))
     trace = np.full((S + 1, K), np.nan)

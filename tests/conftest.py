@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gapfit import autodiff, optimizer
 from gapfit.datagen import CohortTruth
 from gapfit.errors import ParseError
-from gapfit.model import Beta, Cohort, HospitalSeries
+from gapfit.model import Beta, Cohort, HospitalSeries, loss as model_loss
+from gapfit.optimizer import l2_penalty
 
 # one line per acceptance criterion, echoed after the run (see
 # pytest_terminal_summary below); populated by tests/test_acceptance.py
@@ -91,3 +93,32 @@ def _parse_count(cell, what, path, lineno):
     if value < 0:
         raise ParseError(f"{path}:{lineno}: negative {what}", line=lineno)
     return value
+
+
+def _loss_grad_tape(rows, beta, lam):
+    """Same contract as :func:`gapfit.optimizer._loss_grad_batch`, from the
+    loss on a tape.
+
+    Takes the fit's rows as a :class:`~gapfit.model.Cohort` in place of the
+    layout and differentiates :func:`gapfit.model.loss` (plus the L2
+    penalty) of every row in one reverse sweep over (K,) tape values; a row
+    whose evaluation turns non-finite gets NaN.
+    """
+
+    def objective(b):
+        val = model_loss(rows, b)
+        return val + l2_penalty(b, lam) if lam > 0.0 else val
+
+    res = autodiff.gradient(objective, beta.T)
+    return res.value, np.stack(res.gradient, axis=1)
+
+
+def on_tape(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with the fit driver taking every loss and
+    gradient from :func:`_loss_grad_tape` instead of the batch kernel: the
+    driver binds the oracle to the fit's rows as a Cohort, once per fit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_Residuals",
+                   lambda y, r, z: Cohort(range(len(y)), y, z))
+        mp.setattr(optimizer, "_loss_grad_batch", _loss_grad_tape)
+        return call(*args, **kwargs)

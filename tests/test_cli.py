@@ -70,6 +70,11 @@ def test_simulate_same_seed_identical_files(tmp_path):
     "fit --auto-eta --eta-safety nan",
     "censor --rates 0.25,nan",
     "predict --incidence-scale nan",
+    "predict --incidence-scale 0",
+    "predict --incidence-scale -5",
+    "predict --horizon -1",
+    "predict --horizon 2",
+    "predict --horizon -1 --params nope.csv",
     "fit --steps 0",
 ], ids=lambda args: args.replace(" --", "-").replace(" ", "-"))
 def test_bad_numeric_flag_exits_2(tmp_path, args):
@@ -78,7 +83,7 @@ def test_bad_numeric_flag_exits_2(tmp_path, args):
     if command != "simulate":
         sim = _simulate(tmp_path)
         argv += ["--input", str(sim / "cohort.csv")]
-    if command == "predict":
+    if command == "predict" and "--params" not in flags:
         params = tmp_path / "params.csv"
         _write(params, ["hospital_id", "b1", "b2", "b3"],
                [["h0", "0.1", "0.0", "0.0"]])
@@ -836,15 +841,38 @@ def test_rerun_accepts_manifest_with_threads(tmp_path):
 
 
 def test_rerun_reproduces_bit_exactly(tmp_path):
-    outdir = _simulate(tmp_path)
-    benchdir = tmp_path / "bench"
-    assert _run("benchmark", "--input", str(outdir / "cohort.csv"),
-                "--output-dir", str(benchdir), "--steps", "80") == 0
-    redo = tmp_path / "redo"
-    assert _run("rerun", str(benchdir / "manifest.json"),
-                "--output-dir", str(redo)) == 0
-    for name in ("table1.csv", "report.json"):
-        assert _read(benchdir / name) == _read(redo / name)
+    # every command's manifest, each arg as the command's own parser wrote it
+    sim = _simulate(tmp_path)
+    full = _simulate(tmp_path, "full", extra=["--complete"])
+    cohort = str(sim / "cohort.csv")
+    future = tmp_path / "future.csv"
+    _write(future, ["hospital_id", "day", "incidence"],
+           [[f"h{k}", day, 2.0] for k in range(8) for day in (25, 26)])
+    runs = {
+        "fit": ["--input", cohort, "--steps", "5", "--auto-eta",
+                "--share", "b2"],
+        "benchmark": ["--input", cohort, "--steps", "80"],
+        "sensitivity": ["--input", cohort, "--steps", "5",
+                        "--window-len", "10"],
+        "censor": ["--input", str(full / "cohort.csv"), "--steps", "5",
+                   "--reps", "1", "--rates", "0.5"],
+        "gradcheck": ["--trials", "3"],
+        "predict": ["--input", cohort, "--horizon", "3",
+                    "--params", str(tmp_path / "fit" / "params.csv"),
+                    "--future-z", str(future)],
+    }
+    for command, argv in runs.items():
+        assert _run(command, "--output-dir", str(tmp_path / command),
+                    *argv) == 0
+    for outdir in [sim, full, *(tmp_path / command for command in runs)]:
+        redo = tmp_path / "redo" / outdir.name
+        assert _run("rerun", str(outdir / "manifest.json"),
+                    "--output-dir", str(redo)) == 0
+        names = sorted(p.name for p in outdir.iterdir())
+        assert sorted(p.name for p in redo.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":
+                assert _read(outdir / name) == _read(redo / name), name
 
 
 @pytest.mark.parametrize("text,code,message", [
@@ -876,6 +904,46 @@ def test_rerun_names_a_missing_arg_before_writing(tmp_path, capsys):
     redo = tmp_path / "redo"
     assert _run("rerun", str(old), "--output-dir", str(redo)) == 2
     assert "manifest args lack 'steps'" in capsys.readouterr().err
+    assert not redo.exists()
+
+
+def _manifest_of(tmp_path, command):
+    """The manifest of a short ``command`` run on a 6 x 20 cohort."""
+    sim = _simulate(tmp_path, extra=["--hospitals", "6", "--days", "20"])
+    outdir = tmp_path / command
+    extra = ["--window-len", "10"] if command == "sensitivity" else []
+    assert _run(command, "--input", str(sim / "cohort.csv"), "--output-dir",
+                str(outdir), "--steps", "5", *extra) == 0
+    return json.loads((outdir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fit", "steps", "5"),
+    ("fit", "steps", None),
+    ("fit", "steps", 2.5),
+    ("fit", "steps", True),
+    ("fit", "lam", "0"),
+    ("fit", "lam", False),
+    ("fit", "incidence_scale", "0.01"),
+    ("fit", "auto_eta", "yes"),
+    ("fit", "auto_eta", 1),
+    ("fit", "share", 3),
+    ("fit", "eta", 5),
+    ("fit", "method", "newton"),
+    ("fit", "input", 7),
+    ("fit", "input", None),
+    ("sensitivity", "window_len", "3"),
+    ("sensitivity", "baseline", "foo"),
+])
+def test_rerun_rejects_a_wrongly_typed_arg(tmp_path, capsys, command, key,
+                                           value):
+    manifest = _manifest_of(tmp_path, command)
+    manifest["args"][key] = value
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    redo = tmp_path / "redo"
+    assert _run("rerun", str(old), "--output-dir", str(redo)) == 2
+    assert f"manifest arg {key!r}" in capsys.readouterr().err
     assert not redo.exists()
 
 

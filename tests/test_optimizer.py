@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapfit import autodiff, optimizer
+from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, Cohort, HospitalSeries, loss
 from gapfit.optimizer import (FitConfig, _judge_convergence,
-                              _Residuals, _loss_grad_batch, _loss_grad_tape,
+                              _Residuals, _loss_grad_batch,
                               detect_divergence, fit, fit_cohort, jacobi_etas,
                               l2_penalty, warm_start_inits)
+from gapfit.sharing import SharingSpec, fit_shared
 
-from conftest import make_series, random_gapped_series
+from conftest import (_loss_grad_tape, make_series, on_tape,
+                      random_gapped_series)
 
 
 def test_config_validation():
@@ -29,6 +31,8 @@ def test_config_validation():
         FitConfig(incidence_scale=0.0)
     with pytest.raises(UsageError):
         FitConfig(eta_safety=-1.0)
+    with pytest.raises(TypeError):
+        FitConfig(engine="tape")
 
 
 def test_l2_penalty_values_and_gradient():
@@ -170,29 +174,13 @@ def test_batch_and_tape_engines_agree():
     for _ in range(5):
         s = random_gapped_series(rng, T=14)
         for kwargs in settings:
-            batch = fit(s, FitConfig(engine="batch", **kwargs))
-            tape = fit(s, FitConfig(engine="tape", **kwargs))
+            batch = fit(s, FitConfig(**kwargs))
+            tape = on_tape(fit, s, FitConfig(**kwargs))
             assert batch.beta.as_array() == pytest.approx(
                 tape.beta.as_array(), rel=1e-9, abs=1e-12), kwargs
             assert batch.loss_trace == pytest.approx(tape.loss_trace, rel=1e-9)
             assert batch.steps_used == tape.steps_used
             assert batch.converged == tape.converged
-
-
-def test_tape_fit_builds_its_rows_once(monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(47))
-    cohort = Cohort.from_series([random_gapped_series(rng, T=12, id=str(k))
-                                 for k in range(4)])
-    built = []
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return Cohort(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "Cohort", counted)
-    fit_cohort(cohort, FitConfig(engine="tape", steps=5))
-    # one record for all 5 steps and the final loss, not one per evaluation
-    assert len(built) == 1
 
 
 @pytest.mark.parametrize("method, eta", [("gd", 1e3), ("gd", 10.0),
@@ -206,8 +194,8 @@ def test_batch_and_tape_engines_agree_on_diverged_fits(anchor_series, method,
     for s in [anchor_series, random_gapped_series(rng, T=14)]:
         kwargs = dict(method=method, eta=(eta, eta, eta), steps=100,
                       incidence_scale=1.0)
-        batch = fit(s, FitConfig(engine="batch", **kwargs))
-        tape = fit(s, FitConfig(engine="tape", **kwargs))
+        batch = fit(s, FitConfig(**kwargs))
+        tape = on_tape(fit, s, FitConfig(**kwargs))
         assert batch.steps_used == tape.steps_used
         assert batch.converged == tape.converged
         assert batch.loss_trace == pytest.approx(tape.loss_trace, rel=1e-9)
@@ -217,6 +205,32 @@ def test_batch_and_tape_engines_agree_on_diverged_fits(anchor_series, method,
             assert batch.steps_used < 100
             assert np.isnan(batch.beta.as_array()).all()
             assert np.isnan(tape.beta.as_array()).all()
+
+
+@pytest.mark.parametrize("dims", [{2}, {1, 3}, {1, 2, 3}])
+@pytest.mark.parametrize("kwargs", [
+    dict(steps=60),
+    dict(method="adam", steps=60, auto_eta=True, warm_start=True),
+], ids=["gd", "adam-auto-warm"])
+def test_batch_and_tape_engines_agree_on_shared_dimensions(dims, kwargs):
+    # the driver's rules for a shared dimension (common start and step, an
+    # average after every step, the joint convergence test) on both kernels
+    rng = np.random.Generator(np.random.PCG64(53))
+    cohort = Cohort.from_series([random_gapped_series(rng, T=14, id=str(k))
+                                 for k in range(5)])
+    spec, config = SharingSpec(frozenset(dims)), FitConfig(**kwargs)
+    batch = fit_shared(cohort, spec, config).results
+    tape = on_tape(fit_shared, cohort, spec, config).results
+    shared = sorted(d - 1 for d in dims)
+    for results in (batch, tape):
+        coefs = np.array([res.beta.as_array() for res in results])
+        assert np.all(coefs[:, shared] == coefs[0, shared])
+    for b, t in zip(batch, tape):
+        assert b.steps_used == t.steps_used
+        assert b.converged == t.converged
+        assert b.loss_trace == pytest.approx(t.loss_trace, rel=1e-9)
+        assert b.beta.as_array() == pytest.approx(
+            t.beta.as_array(), rel=1e-9, abs=1e-12)
 
 
 def _row_mask(kind, T, rng):

@@ -1,9 +1,12 @@
 """Static checks on the package source (no linter is needed to run them)."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from gapfit.optimizer import FitConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gapfit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -150,3 +153,37 @@ def test_record_faults_formatted_only_by_the_one_reader(path):
              line_errors(path.read_text(encoding="utf-8"))
              if (module, where) not in LINE_ERRORS]
     assert found == []
+
+
+# FitConfig fields that no CLI flag sets.  ``init`` is a start point for
+# library callers; on the command line ``--warm-start`` picks one per
+# hospital.  Any other field must be set by cli._fit_config: a fit option
+# that only the tests reach is a second code path that no run exercises.
+LIBRARY_ONLY = {"init"}
+
+
+def keywords_passed(source, function, callee):
+    """Keyword names that the top-level ``function`` in ``source`` passes to
+    calls of ``callee``, by name or by attribute."""
+    return {kw.arg for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == function
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and _called_name(call) == callee
+            for kw in call.keywords}
+
+
+def test_keywords_passed_detector():
+    source = ("def _fit_config(args):\n"
+              "    c = optimizer.FitConfig(eta=1, steps=args['s'])\n"
+              "    return FitConfig(lam=0.1), Other(method='gd')\n"
+              "def other():\n    return FitConfig(warm_start=True)\n")
+    assert keywords_passed(source, "_fit_config", "FitConfig") == {
+        "eta", "steps", "lam"}
+    assert keywords_passed(source, "missing", "FitConfig") == set()
+
+
+def test_every_fit_option_is_a_cli_flag_or_library_only():
+    set_by_cli = keywords_passed((PACKAGE / "cli.py").read_text(
+        encoding="utf-8"), "_fit_config", "FitConfig")
+    fields = {f.name for f in dataclasses.fields(FitConfig)}
+    assert fields - set_by_cli == LIBRARY_ONLY
