@@ -59,15 +59,13 @@ def _flag_cells(flags):
     return ["true" if flag else "false" for flag in flags]
 
 
-def _write_traces(path, traces):
-    """``traces.csv``: a row ``id, step, loss`` per step of each (hospital
-    id, loss trace) pair."""
-    lengths = [len(trace) for _, trace in traces]
-    losses = np.full((len(traces), max(lengths, default=0)), np.nan)
-    for k, (_, trace) in enumerate(traces):
-        losses[k, :len(trace)] = trace
+def _write_traces(path, ids, trace):
+    """``traces.csv``: a row ``id, step, loss`` per loss that each hospital
+    recorded in its column of :attr:`~gapfit.sharing.CohortFit.trace`, or
+    one NaN row if it recorded none."""
+    recorded = np.count_nonzero(~np.isnan(trace), axis=0)
     _write_columns(path, ["hospital_id", "step", "loss"], _series_blocks(
-        [hid for hid, _ in traces], lengths, [losses], start=0))
+        ids, np.maximum(recorded, 1), [trace.T], start=0))
 
 
 def _write_json(path, payload):
@@ -162,7 +160,7 @@ def _load(args):
     # Python's order of the ids themselves: a numpy string array would drop
     # trailing NUL characters
     return cohort.take(sorted(range(len(cohort)),
-                              key=cohort.ids.__getitem__)), warnings
+                              key=cohort.ids.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -188,37 +186,32 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    cohort, _ = _load(args)
+    cohort = _load(args)
     outdir = args["output_dir"]
     config = _fit_config(args)
     spec = SharingSpec.parse(args["share"])
-    results = fit_shared(cohort, spec, config).results
-    fitted = [res is not None for res in results]
-    coefs = np.array([res.beta.as_array() if res is not None else [np.nan] * 3
-                      for res in results]).reshape(-1, 3)
+    # every loaded row has 2 reports, so every row enters the fit
+    fit = fit_shared(cohort, spec, config)
     # a diverged fit's non-finite coefficients are left blank, so
     # ``predict`` skips that hospital as one without parameters
-    finite = np.isfinite(coefs).all(axis=1)
+    finite = np.isfinite(fit.beta).all(axis=1)
+    # each row's last recorded loss; NaN from a row that recorded none
+    recorded = np.count_nonzero(~np.isnan(fit.trace), axis=0)
+    final = fit.trace[recorded - 1, np.arange(len(cohort))]
     _write_columns(
         _artifact(outdir, "params.csv"),
         ["hospital_id", "b1", "b2", "b3", "converged", "fell_back",
          "steps_used", "final_loss"],
-        [[_text_cells(cohort.ids), *(_cells(c, finite) for c in coefs.T),
-          _flag_cells(res is not None and res.converged for res in results),
-          _flag_cells(res is None or res.fell_back for res in results),
-          _cells([res.steps_used if res is not None else 0
-                  for res in results]),
-          _cells([res.loss_trace[-1] if res is not None else np.nan
-                  for res in results], fitted)]])
-    _write_traces(_artifact(outdir, "traces.csv"),
-                  [(hid, res.loss_trace) for hid, res in
-                   zip(cohort.ids, results) if res is not None])
+        [[_text_cells(cohort.ids), *(_cells(c, finite) for c in fit.beta.T),
+          _flag_cells(fit.converged), _flag_cells(~fit.converged),
+          _cells(fit.steps_used), _cells(final)]])
+    _write_traces(_artifact(outdir, "traces.csv"), cohort.ids, fit.trace)
     _write_manifest(outdir, "fit", args, ["params.csv", "traces.csv"])
     return 0
 
 
 def cmd_benchmark(args):
-    cohort, _ = _load(args)
+    cohort = _load(args)
     outdir = args["output_dir"]
     config = _fit_config(args)
     reports = [last_point_error(cohort, BenchmarkPredictor(kind))
@@ -249,7 +242,7 @@ def cmd_benchmark(args):
 
 
 def cmd_sensitivity(args):
-    cohort, _ = _load(args)
+    cohort = _load(args)
     outdir = args["output_dir"]
     config = _fit_config(args)
     report = sensitivity_run(cohort, ALL_SHARING_SPECS, config,
@@ -283,7 +276,7 @@ def cmd_sensitivity(args):
 
 
 def cmd_censor(args):
-    cohort, _ = _load(args)
+    cohort = _load(args)
     outdir = args["output_dir"]
     config = _fit_config(args)
     rates = _parse_floats(args["rates"])
@@ -408,7 +401,7 @@ def cmd_predict(args):
         raise UsageError("--future-z is required when horizon > 0")
     if args["incidence_scale"] <= 0:
         raise UsageError("incidence_scale must be positive")
-    cohort, _ = _load(args)
+    cohort = _load(args)
     outdir = args["output_dir"]
     betas = _load_params(args["params"])
     future_z = (_load_future_z(args["future_z"], args["incidence_column"])

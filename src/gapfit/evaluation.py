@@ -112,11 +112,10 @@ class IncrementPredictor:
         beta = np.zeros((len(cohort), 3))
         ok = np.zeros(len(cohort), dtype=bool)
         if len(usable):
-            fits = fit_shared(heads, self.sharing, self.config,
-                              overrides=overrides).results
-            for k, res in zip(usable, fits):
-                if res is not None and res.converged:
-                    beta[k], ok[k] = res.beta.as_array(), True
+            fit = fit_shared(heads, self.sharing, self.config,
+                             overrides=overrides)
+            ok[usable] = fit.converged
+            beta[usable[fit.converged]] = fit.beta[fit.converged]
         y_tilde, dy_hat = predict_trajectory(
             cohort.y, cohort.r, cohort.z * self.config.incidence_scale, beta)
         return dy_hat[:, -1], y_tilde[:, -2], ok
@@ -372,18 +371,15 @@ def censor_and_recover(cohort, spec, config=None):
             y[k, rng.choice(np.arange(1, T), size=n_censor, replace=False)] = np.nan
         r = np.isfinite(y)
         # every row keeps 2 reports, so every row has a fit
-        fits = fit_shared(Cohort(cohort.ids, y, z), SharingSpec(),
-                          config).results
-        converged = np.array([res.converged for res in fits])
-        betas = np.array([res.beta.as_array() for res in fits])
+        fit = fit_shared(Cohort(cohort.ids, y, z), SharingSpec(), config)
         rebuilt = _rebuild_benchmarks(y, r, z)
         increment, _ = predict_trajectory(y, r, z * config.incidence_scale,
-                                          betas)
+                                          fit.beta)
         # a fit that fell back is rebuilt by the mean model
-        increment = np.where(converged[:, None], increment,
+        increment = np.where(fit.converged[:, None], increment,
                              rebuilt[BenchmarkKind.MEAN])
         flags += [f"{hid} rep {rep}: increment fit fell back"
-                  for hid, ok in zip(cohort.ids, converged) if not ok]
+                  for hid, ok in zip(cohort.ids, fit.converged) if not ok]
         recons = [increment] + [rebuilt[kind] for kind in BenchmarkKind]
         sq_err += [np.mean((recon - truth) ** 2, axis=-1) for recon in recons]
     per_hospital = dict(zip(models, sq_err / spec.repetitions))

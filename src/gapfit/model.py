@@ -61,6 +61,8 @@ def _check_rows(ids, y, z, days):
             (~np.isfinite(z).all(axis=1), UsageError,
              "incidence covariate must be complete and finite"),
             ((z < 0).any(axis=1), UsageError, "incidence must be nonnegative"),
+            (np.isinf(y).any(axis=1), UsageError,
+             "reported case counts must be finite"),
             ((observed & (y < 0)).any(axis=1), UsageError,
              "reported case counts must be nonnegative"),
             (~observed.any(axis=1), InsufficientDataError,
@@ -77,7 +79,8 @@ class HospitalSeries:
     ``z`` the (complete) daily incidence covariate, and ``r`` is derived as
     r[t] = 1 iff y[t] is present.  Fewer than 2 days or no report at all
     raise :class:`InsufficientDataError`; mismatched shapes, a non-finite or
-    negative ``z`` and a negative report raise :class:`UsageError`.
+    negative ``z`` and an infinite or negative report raise
+    :class:`UsageError`.
     """
 
     __slots__ = ("id", "y", "z", "r")

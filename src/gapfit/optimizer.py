@@ -89,10 +89,6 @@ class FitResult:
     converged: bool
     steps_used: int
 
-    @property
-    def fell_back(self):
-        return not self.converged
-
 
 def l2_penalty(beta, lam):
     """lam * (b1^2 + b2^2 + b3^2); differentiable through the tape engine."""
@@ -229,8 +225,8 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
     parameters with per-hospital (K, 3) arrays.  ``history``, when a list,
     receives a copy of the (K, 3) parameters after every step.
 
-    Returns (beta (K, 3), loss traces (K lists, the NaN steps after a row
-    stopped left out), converged (K bools), steps_used (K,)).
+    Returns (beta (K, 3), trace (S+1, K) of losses, finite until a row
+    stopped and NaN after, converged (K,) bools, steps_used (K,)).
     """
     K = y.shape[0]
     S = config.steps
@@ -276,11 +272,8 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
                 break
         lossv, _ = loss_grad(beta, config.lam)
         trace[S] = lossv
-    traces = trace.T.tolist()
-    for k in np.flatnonzero(np.isnan(trace).any(axis=0)):
-        traces[k] = [v for v in traces[k] if v == v] or [float("nan")]
-    converged = _judge_convergence(trace, beta, bool(shared_dims)).tolist()
-    return beta, traces, converged, steps_used
+    converged = _judge_convergence(trace, beta, bool(shared_dims))
+    return beta, trace, converged, steps_used
 
 
 def _judge_convergence(trace, beta, shared):

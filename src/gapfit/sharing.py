@@ -50,7 +50,7 @@ class SharingSpec:
             return cls(frozenset())
         dims = set()
         for part in text.split(","):
-            part = part.strip().lstrip("b")
+            part = part.strip().removeprefix("b")
             if part not in ("1", "2", "3"):
                 raise UsageError(f"cannot parse shared dimension {part!r}")
             dims.add(int(part))
@@ -64,22 +64,35 @@ ALL_SHARING_SPECS = tuple(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class CohortFit:
-    """Per-hospital results of a joint fit.
+    """The driver's arrays over a cohort's K rows: ``beta`` (K, 3), the
+    (S+1, K) ``trace`` of losses (finite until a row stopped, NaN after),
+    ``converged`` (K,) and ``steps_used`` (K,); NaN, False and 0 in a row
+    that never entered the fit.  ``history`` is (steps, K, 3) if asked."""
 
-    ``results[k]`` is a FitResult or None when row k never entered the
-    fit (too few reports).  ``history``, when requested, holds the full
-    (K, 3) parameter matrix after every step.
-    """
+    beta: np.ndarray
+    trace: np.ndarray
+    converged: np.ndarray
+    steps_used: np.ndarray
+    history: np.ndarray | None = None
 
-    results: list
-    history: list | None = None
+    @property
+    def results(self):
+        """A FitResult per row; None for a row that took no step (unfitted)."""
+        traces = self.trace.T.tolist()
+        for k in np.flatnonzero(np.isnan(self.trace).any(axis=0)):
+            traces[k] = [v for v in traces[k] if v == v] or [float("nan")]
+        return [FitResult(Beta.from_array(b), t, c, s) if s else None
+                for b, t, c, s in zip(self.beta, traces,
+                                      self.converged.tolist(),
+                                      self.steps_used.tolist())]
 
 
 def fit_shared(cohort, spec, config=None, record_history=False, *,
                overrides=None):
-    """Fit a :class:`~gapfit.model.Cohort` jointly under a sharing spec.
+    """Fit a :class:`~gapfit.model.Cohort` jointly under a sharing spec;
+    returns a :class:`CohortFit`.
 
     Rows with fewer than 2 reports are left out; the others must cover the
     same days.  With an empty ``shared_dims`` these are independent fits,
@@ -91,29 +104,31 @@ def fit_shared(cohort, spec, config=None, record_history=False, *,
     """
     if config is None:
         config = FitConfig()
-    if len(cohort) < 1:
+    K = len(cohort)
+    if K < 1:
         raise UsageError("cohort must contain at least one series")
     usable = np.flatnonzero(cohort.n_reports >= 2)
-    results = [None] * len(cohort)
     history = [] if record_history else None
     if usable.size:
-        fitted = cohort if usable.size == len(cohort) else cohort.take(usable)
+        fitted = cohort if usable.size == K else cohort.take(usable)
         fitted.T  # rows of different lengths raise
         y, r, z = fitted.y, fitted.r, fitted.z * config.incidence_scale
         eta, init = (_resolve_overrides(y, r, z, config) if overrides is None
                      else overrides)
         shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
-        beta, traces, converged, steps_used = _run_batch(
-            y, r, z, config, shared_dims=shared0, eta=eta, init=init,
-            history=history)
-        for i, k in enumerate(usable):
-            results[k] = FitResult(Beta.from_array(beta[i]), traces[i],
-                                   converged[i], int(steps_used[i]))
-    full_history = None
+        out = _run_batch(y, r, z, config, shared_dims=shared0, eta=eta,
+                         init=init, history=history)
+    if usable.size == K:
+        fit = CohortFit(*out)
+    else:
+        fit = CohortFit(np.full((K, 3), np.nan),
+                        np.full((config.steps + 1, K), np.nan),
+                        np.zeros(K, dtype=bool), np.zeros(K, dtype=int))
+        if usable.size:
+            (fit.beta[usable], fit.trace[:, usable], fit.converged[usable],
+             fit.steps_used[usable]) = out
     if history is not None:
-        full_history = []
-        for h in history:
-            mat = np.full((len(cohort), 3), np.nan)
-            mat[usable] = h
-            full_history.append(mat)
-    return CohortFit(results=results, history=full_history)
+        fit.history = np.full((len(history), K, 3), np.nan)
+        if history:
+            fit.history[:, usable] = history
+    return fit

@@ -76,6 +76,7 @@ def test_simulate_same_seed_identical_files(tmp_path):
     "predict --horizon 2",
     "predict --horizon -1 --params nope.csv",
     "fit --steps 0",
+    "fit --share bb1",
 ], ids=lambda args: args.replace(" --", "-").replace(" ", "-"))
 def test_bad_numeric_flag_exits_2(tmp_path, args):
     command, *flags = args.split()
@@ -90,6 +91,19 @@ def test_bad_numeric_flag_exits_2(tmp_path, args):
         argv += ["--params", str(params)]
     assert _run(*argv) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_with_overflowing_reports_exits_2(tmp_path, capsys):
+    # an incidence scale of 1e308 drives the simulated counts to inf; they
+    # must not be written as unreported days
+    outdir = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = _run("simulate", "--output-dir", str(outdir), "--hospitals", "2",
+                  "--days", "5", "--incidence-scale", "1e308")
+    assert rc == 2
+    assert ("reported case counts must be finite: 'h0'"
+            in capsys.readouterr().err)
+    assert not outdir.exists()
 
 
 def test_fit_and_share_all_equalizes_parameters(tmp_path):
@@ -261,7 +275,13 @@ def test_bad_seed_exits_2_before_writing(tmp_path, capsys, command, seed):
 
 def test_traces_are_written_as_csv_writes_them(tmp_path):
     ids = ["a,b", 'say "hi"', "cr\rlf\n", " spaced ", "", "plain", "\u00e9"]
-    traces = [(hid, [1.5, float("nan"), -0.0, 1e-300, float("inf")][:k + 1])
+    values = [1.5, -0.0, 1e-300, float("inf"), 2.5, 0.0]
+    # column k records its first k losses and is NaN after them, so the
+    # first hospital recorded none and is written as one NaN row
+    trace = np.full((len(values), len(ids)), np.nan)
+    for k in range(len(ids)):
+        trace[:k, k] = values[:k]
+    traces = [(hid, values[:k] or [float("nan")])
               for k, hid in enumerate(ids)]
     want = tmp_path / "want.csv"
     with open(want, "w", newline="", encoding="utf-8") as fh:
@@ -270,7 +290,7 @@ def test_traces_are_written_as_csv_writes_them(tmp_path):
         writer.writerows([hid, step, repr(v)] for hid, trace in traces
                          for step, v in enumerate(trace))
     got = tmp_path / "got.csv"
-    cli._write_traces(got, traces)
+    cli._write_traces(got, ids, trace)
     assert _read(got) == _read(want)
 
 
@@ -340,7 +360,7 @@ def test_predict_bridges_and_forecasts(tmp_path):
 def _reference_trajectory(args, path):
     """``trajectory.csv`` as cmd_predict once built it, row by row through
     csv.writer, kept as its oracle."""
-    cohort, _ = cli._load(args)
+    cohort = cli._load(args)
     betas = cli._load_params(args["params"])
     horizon = args["horizon"]
     future_z = (cli._load_future_z(args["future_z"], "incidence")

@@ -250,8 +250,8 @@ def test_save_load_is_identity(tmp_path, cohort):
         np.testing.assert_array_equal(other.y, s.y)
         np.testing.assert_array_equal(other.z, s.z)
     # the CLI's order is Python's order of the ids, rows included
-    ordered, _ = cli._load({"input": str(path),
-                            "incidence_column": "incidence"})
+    ordered = cli._load({"input": str(path),
+                         "incidence_column": "incidence"})
     assert list(ordered.ids) == sorted(cohort.ids)
     rows = dict(zip(cohort.ids, cohort))
     for s in ordered:

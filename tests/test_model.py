@@ -62,6 +62,18 @@ def test_cohort_validation():
             Cohort(["a"], y, z, days)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_report_is_a_usage_error_naming_the_row(value):
+    # an infinite count is not a missing report: it must not be dropped
+    y = [1.0, value, 2.0, 3.0]
+    with pytest.raises(UsageError,
+                       match="reported case counts must be finite: 'a'"):
+        HospitalSeries("a", y, [1.0] * 4)
+    with pytest.raises(UsageError,
+                       match="reported case counts must be finite: 'b'"):
+        Cohort(["a", "b"], [[1.0, 2.0, 3.0, 4.0], y], np.ones((2, 4)))
+
+
 def test_cohort_pads_and_returns_rows_as_series():
     a = make_series([2, None, 4], z=[1, 2, 3], id="a")
     b = make_series([None, 5, 6, 8, None], z=[4, 3, 2, 1, 0.5], id="b")

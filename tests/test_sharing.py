@@ -27,8 +27,9 @@ def test_spec_parse():
     assert SharingSpec.parse("none") == SharingSpec()
     assert SharingSpec.parse("b1,b3") == SharingSpec(frozenset({1, 3}))
     assert SharingSpec.parse("2") == SharingSpec(frozenset({2}))
-    with pytest.raises(UsageError):
-        SharingSpec.parse("b5")
+    for text in ("b5", "bb1", "b1,bb3"):
+        with pytest.raises(UsageError):
+            SharingSpec.parse(text)
 
 
 def test_all_specs_enumerates_the_eight_subsets():

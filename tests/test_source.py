@@ -97,6 +97,35 @@ def test_series_built_only_where_a_row_is_needed(path):
     assert builds == []
 
 
+# Where a FitResult may be built: the per-row view of a cohort fit's
+# arrays.  Every other caller reads the arrays of sharing.CohortFit.
+FIT_RESULT_BUILDERS = {("sharing", "CohortFit")}
+
+
+def fit_result_builds(source):
+    """Where ``source`` builds a FitResult, by name or by attribute (see
+    :func:`calls`)."""
+    return calls(source, lambda call: _called_name(call) == "FitResult")
+
+
+def test_fit_result_build_detector():
+    source = ("r = FitResult(b, [], True, 1)\n"
+              "def f(x):\n    return [optimizer.FitResult(*x)]\n"
+              "class C:\n    @property\n    def results(self):\n"
+              "        return [FitResult(b, t, c, s) for b, t, c, s in x]\n"
+              "def g():\n    return FitResults(), FitResult\n")
+    assert fit_result_builds(source) == [(None, 1), ("f", 3), ("C", 7)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fit_results_built_only_by_the_cohort_fit_view(path):
+    module = path.stem
+    found = [(where, line) for where, line in
+             fit_result_builds(path.read_text(encoding="utf-8"))
+             if (module, where) not in FIT_RESULT_BUILDERS]
+    assert found == []
+
+
 # Where csv may write: the quoting fallback of datagen's one CSV writer.
 # Every artifact goes through datagen._write_columns.
 CSV_WRITERS = {("datagen", "_text_cells")}
