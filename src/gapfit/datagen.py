@@ -209,17 +209,22 @@ def simulate_cohort(spec):
             noise[k] = rng.normal(0.0, spec.noise_scale, size=T - 1)
         masks.append(missingness_mask(T, spec.missingness, child[1]))
     b1, b2, b3 = np.array([(b.b1, b.b2, b.b3) for b in betas]).T
-    z_eff = z * spec.incidence_scale
     # every hospital's trajectory at once, day by day; a zero noise term
     # changes no state, since the clamp below maps -0.0 and 0.0 alike
-    for t in range(1, T):
-        inc = b1 + b2 * y[:, t - 1] + b3 * z_eff[:, t - 1] + noise[:, t - 1]
-        x = y[:, t - 1] + inc
-        # max(0.0, x): zero for -0.0 and NaN as well
-        y[:, t] = np.where(x > 0.0, x, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_eff = z * spec.incidence_scale
+        for t in range(1, T):
+            x = y[:, t - 1] + (b1 + b2 * y[:, t - 1] + b3 * z_eff[:, t - 1]
+                               + noise[:, t - 1])
+            # max(0.0, x): zero for -0.0 and NaN as well
+            y[:, t] = np.where(x > 0.0, x, 0.0)
     width = len(str(K - 1))
     cohort = Cohort(tuple(f"h{k:0{width}d}" for k in range(K)),
                     np.where(masks, y, np.nan), z)
+    bad = ~(np.isfinite(y) & np.isfinite(z_eff)).all(axis=1)
+    if bad.any():  # an overflow on days the mask hides from the Cohort
+        raise UsageError("simulated cases and scaled incidence must be "
+                         f"finite: {cohort.ids[bad.argmax()]!r}")
     trajectories = list(y)
     return cohort, CohortTruth(betas=betas, trajectories=trajectories,
                                incidence_scale=spec.incidence_scale)

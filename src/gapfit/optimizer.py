@@ -9,9 +9,9 @@ common step size, an average after every step and a convergence test on the
 joint loss.  It takes the loss and gradient of every hospital from one
 gap-aware numpy kernel over the cohort, :func:`_loss_grad_batch`.  Once per
 fit, :class:`_Residuals` splits the scored residuals by whether the previous
-day was reported.  Those that follow a report are linear in beta and are
-scored each step in one dense masked pass.  Those that close a reporting gap
-are flattened into segments and bridged one gap depth at a time, carrying the
+day was reported.  Those that follow a report are linear in beta, and one QR
+factor per hospital scores them in O(1) per step.  Those that close a gap are
+flattened into segments and bridged one gap depth at a time, carrying the
 state and its three forward sensitivities d(state)/d(beta).  The test suite
 pins this kernel, alone and through the driver, to the reverse-mode tape of
 :func:`gapfit.model.loss` and to finite differences.
@@ -118,23 +118,33 @@ def detect_divergence(trace, beta):
 class _Residuals:
     """The scored residuals of a cohort, laid out once per fit.
 
-    A residual on day t whose previous day was reported is linear in beta.
-    Those are kept as masked dense (K, T-1) arrays: ``w`` is 1.0 where days t
-    and t-1 are both reported, and ``y_prev``, ``z_prev`` and ``dy`` are
-    zeroed where it is 0, so a masked-off cell scores exactly 0.  Every other
-    scored residual closes a gap segment: a report on day t after the last
-    report on day t0 < t-1, with depth g = t-1-t0 carried steps.  Segments
-    are sorted deepest first (stable on hospital, day), so the ones still
-    carrying at depth j are the prefix of length ``len(z_depth[j])``.
+    A residual on day t whose previous day was reported is (1, y[t-1],
+    z[t-1]) . beta - dy[t], dy[t] = y[t] - y[t-1].  Those rows of a hospital,
+    zero elsewhere and at least 4, make [X | dy], whose QR factor
+    [[R, qdy], [0, rho]] gives ||X beta - dy||^2 = ||R beta - qdy||^2 + rho^2.
+    ``R`` is (3, 3, K), ``qdy`` (3, K) and ``rss`` = rho^2 (K,), the
+    projection residual as the reflections form it, never ||dy||^2 minus
+    ||qdy||^2; the normal equations would square X's condition and cancel
+    at a noiseless optimum (losses of 1e-30).  Nothing is solved, so a
+    rank-deficient row needs no special case, and each row is factored
+    alone.  Every other scored residual closes a gap segment: a report on
+    day t after the last report on day t0 < t-1, with depth g = t-1-t0
+    carried steps.  Segments are sorted deepest first (stable on hospital,
+    day), so the ones still carrying at depth j are the prefix of length
+    ``len(z_depth[j])``.
     """
 
     def __init__(self, y, r, z):
         K, T = y.shape
         direct = r[:, 1:] & r[:, :-1]
-        self.w = direct.astype(float)
-        self.y_prev = np.where(direct, y[:, :-1], 0.0)
-        self.z_prev = np.where(direct, z[:, :-1], 0.0)
-        self.dy = np.where(direct, y[:, 1:] - y[:, :-1], 0.0)
+        m = direct.shape[1]
+        cols = (1.0, y[:, :-1], z[:, :-1], y[:, 1:] - y[:, :-1])
+        a = np.zeros((K, max(m, 4), 4))
+        for j, col in enumerate(cols):
+            a[:, :m, j] = np.where(direct, col, 0.0)
+        f = np.ascontiguousarray(np.linalg.qr(a, mode="r").transpose(1, 2, 0))
+        self.R = np.ascontiguousarray(f[:3, :3])
+        self.qdy, self.rss = f[:3, 3], f[3, 3] * f[3, 3]
         # last reported day at or before day t-1, -1 before the first report
         last = np.maximum.accumulate(np.where(r, np.arange(T), -1), axis=1)
         last = last[:, :-1]
@@ -165,15 +175,10 @@ def _loss_grad_batch(res, beta, lam):
     gets NaN, as from the tape engine.  Returns (loss (K,), grad (K, 3)).
     """
     K = beta.shape[0]
-    b1, b2, b3 = beta[:, 0:1], beta[:, 1:2], beta[:, 2:3]
-    resid = res.w * b1
-    resid += res.y_prev * b2
-    resid += res.z_prev * b3
-    resid -= res.dy
-    sqe = (resid * resid).sum(axis=1)
-    g0 = resid.sum(axis=1)
-    g1 = (resid * res.y_prev).sum(axis=1)
-    g2 = (resid * res.z_prev).sum(axis=1)
+    # the after-report residuals: ||R beta - qdy||^2 + rss (see _Residuals)
+    u = (res.R * beta.T).sum(axis=1) - res.qdy
+    sqe = (u * u).sum(axis=0) + res.rss
+    g0, g1, g2 = (res.R * u[:, None]).sum(axis=0)
     if res.hosp.size:
         h = res.hosp
         c1, c2, c3 = beta[h, 0], beta[h, 1], beta[h, 2]

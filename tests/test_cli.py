@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,22 @@ def test_simulate_with_overflowing_reports_exits_2(tmp_path, capsys):
     assert rc == 2
     assert ("reported case counts must be finite: 'h0'"
             in capsys.readouterr().err)
+    assert not outdir.exists()
+
+
+def test_simulate_with_overflow_hidden_by_the_mask_exits_2(tmp_path, capsys):
+    # the mask hides every infinite day of this trajectory, so only the
+    # simulator can see that it overflowed; it must say so without warnings
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run("simulate", "--output-dir", str(outdir), "--hospitals", "1",
+                  "--days", "6", "--incidence-scale", "1e308",
+                  "--mcar-rate", "0.6", "--seed", "6")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be finite: 'h0'" in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not outdir.exists()
 
 

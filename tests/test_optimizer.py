@@ -4,7 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
+from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.errors import InsufficientDataError, UsageError
+from gapfit.evaluation import _heads
 from gapfit.model import Beta, Cohort, HospitalSeries, loss
 from gapfit.optimizer import (FitConfig, _judge_convergence,
                               _Residuals, _loss_grad_batch,
@@ -308,6 +310,90 @@ def test_batch_kernel_matches_tape_and_is_row_local(cohort, lam):
             beta[k:k + 1], lam)
         assert loss_k.tobytes() == loss_t[k:k + 1].tobytes()
         assert grad_k.tobytes() == grad_t[k:k + 1].tobytes()
+
+
+def _kernel_against_tape(y, r, z, beta, lam=0.0):
+    """The kernel's and the tape's (loss, grad) of a cohort, after checking
+    that each row of the kernel gives the same bits alone."""
+    batch = _loss_grad_batch(_Residuals(y, r, z), beta, lam)
+    for k in range(len(y)):
+        row = slice(k, k + 1)
+        alone = _loss_grad_batch(_Residuals(y[row], r[row], z[row]),
+                                 beta[row], lam)
+        assert alone[0].tobytes() == batch[0][row].tobytes()
+        assert alone[1].tobytes() == batch[1][row].tobytes()
+    return batch, _loss_grad_tape(Cohort(range(len(y)), y, z), beta, lam)
+
+
+@pytest.mark.parametrize("missingness", [
+    MissingnessSpec(mcar_rate=0.0, gap_start_prob=0.0),
+    MissingnessSpec(mcar_rate=0.3, gap_start_prob=0.05),
+], ids=["full", "gapped"])
+def test_batch_kernel_at_a_noiseless_optimum(missingness):
+    # the kernel scores the direct residuals as ||R b - Q'dy||^2 plus the
+    # projection residual's squared norm, so at the truth, where they are
+    # round-off, the loss is a non-negative round-off too
+    config = FitConfig()
+    cohort, truth = simulate_cohort(SimSpec(
+        n_hospitals=40, n_days=40, missingness=missingness, seed=29))
+    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
+    beta = np.array([b.as_array() for b in truth.betas])
+    (loss_b, grad_b), (loss_t, grad_t) = _kernel_against_tape(y, r, z, beta)
+    loss0, grad0 = _loss_grad_tape(cohort, np.zeros_like(beta), 0.0)
+    assert np.all(loss_b >= 0.0)
+    assert np.all(np.abs(loss_b - loss_t) <= 1e-9 * loss_t + 1e-12 * loss0)
+    scale = 1e-12 * np.abs(grad0).max(axis=1, keepdims=True)
+    assert np.all(np.abs(grad_b - grad_t) <= 1e-9 * np.abs(grad_t) + scale)
+    # most rows sit at their optimum: the loss is round-off of the data
+    assert np.median(loss_b / loss0) < 1e-20
+
+
+def _rows(masks, rng, z=None):
+    r = np.array(masks, dtype=bool)
+    y = np.where(r, rng.uniform(0.0, 60.0, r.shape), np.nan)
+    z = rng.uniform(0.0, 5.0, r.shape) if z is None else z
+    return y, r, z
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["T2", "T3", "direct_cells", "constant"])
+def test_batch_kernel_on_rows_the_strategy_never_draws(kind, lam):
+    # fewer than 3 direct residuals or collinear columns leave R singular;
+    # nothing is solved, so the kernel still follows the tape
+    rng = np.random.Generator(np.random.PCG64(31))
+    if kind == "T2":
+        y, r, z = _rows([[1, 1]] * 3, rng)
+    elif kind == "T3":
+        y, r, z = _rows([[1, 1, 1], [1, 0, 1], [1, 1, 0], [0, 1, 1]], rng)
+    elif kind == "direct_cells":
+        # no direct cell, exactly 1 and exactly 2
+        y, r, z = _rows([[1, 0, 1, 0, 1, 0, 0, 1],
+                         [0, 1, 1, 0, 0, 1, 0, 0],
+                         [1, 1, 1, 0, 0, 0, 1, 0]], rng)
+    else:
+        # constant z, and constant y with constant z
+        y, r, z = _rows([[1] * 9, [1, 1, 0, 1, 1, 1, 0, 0, 1]], rng,
+                        z=np.full((2, 9), 2.5))
+        y[1, r[1]] = 7.0
+    beta = rng.uniform(-0.4, 0.4, (len(y), 3))
+    (loss_b, grad_b), (loss_t, grad_t) = _kernel_against_tape(
+        y, r, z, beta, lam)
+    np.testing.assert_allclose(loss_b, loss_t, rtol=1e-9)
+    scale = 1e-12 * (1.0 + np.abs(grad_t).max(axis=1, keepdims=True))
+    assert np.all(np.abs(grad_b - grad_t) <= 1e-9 * np.abs(grad_t) + scale)
+
+
+def test_fits_that_start_at_their_optimum_do_not_fall_back():
+    # the warm start of a fully reported row is its least-squares optimum,
+    # so GD moves its loss only in the last bits, and a last-bit rise would
+    # read as "loss rose" (rows 144 and 478 here)
+    config = FitConfig(auto_eta=True, warm_start=True, eta_safety=0.05,
+                       steps=10)
+    cohort, _ = simulate_cohort(SimSpec(n_hospitals=500, n_days=70, seed=3))
+    usable, heads, overrides = _heads(cohort.window(1, 69), config)
+    fit = fit_shared(heads, SharingSpec(), config, overrides=overrides)
+    assert len(usable) == 500
+    assert fit.converged.all()
 
 
 @pytest.mark.parametrize("method", ["gd", "adam"])
