@@ -282,6 +282,9 @@ def cmd_censor(args):
     rates = _parse_floats(args["rates"])
     if not rates:
         raise UsageError("at least one censor rate is required")
+    repeated = [rate for k, rate in enumerate(rates) if rate in rates[:k]]
+    if repeated:
+        raise UsageError(f"censor rate {repeated[0]} is given more than once")
     reports = censor_sweep(cohort, rates, args["reps"], args["seed"], config)
     payload = {str(rep.rate): {m: rep.summary[m] for m in rep.summary}
                for rep in reports}
@@ -603,6 +606,9 @@ def main(argv=None):
         return 1
     except (GapfitError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: {command}: out of memory ({exc})", file=sys.stderr)
         return 3
 
 

@@ -352,15 +352,11 @@ def fit_cohort(cohort, config):
     returns a FitResult per row.
 
     All rows must cover the same days; a row with fewer than 2 reports
-    raises :class:`InsufficientDataError` (use the sharing or evaluation
-    layers for collect-and-flag behavior).
+    raises :class:`InsufficientDataError`, as in
+    :func:`gapfit.sharing.fit_shared`.
     """
     from .sharing import SharingSpec, fit_shared
 
-    short = np.flatnonzero(cohort.n_reports < 2)
-    if short.size:
-        raise InsufficientDataError(
-            f"series {cohort.ids[short[0]]!r} has fewer than 2 reports")
     return fit_shared(cohort, SharingSpec(), config).results
 
 

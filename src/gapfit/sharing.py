@@ -3,8 +3,9 @@
 Any subset of the three coefficients can be estimated globally: every hospital
 takes one gradient step from the current mixed parameter vector, then the
 shared dimensions are replaced by their cross-hospital mean before the next
-step.  Hospitals whose fit fails (too few reports, or divergence mid-run) are
-dropped from subsequent means and flagged rather than aborting the cohort.
+step.  Hospitals whose fit diverges mid-run are dropped from subsequent means
+and flagged rather than aborting the cohort; a hospital with fewer than 2
+reports raises before the fit starts.
 
 :func:`fit_shared` is the one cohort fit path: independent fits
 (:func:`gapfit.optimizer.fit_cohort`) are the case with no shared dimension.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import InsufficientDataError, UsageError
 from .model import Beta
 from .optimizer import FitConfig, FitResult, _resolve_overrides, _run_batch
 
@@ -68,8 +69,8 @@ ALL_SHARING_SPECS = tuple(
 class CohortFit:
     """The driver's arrays over a cohort's K rows: ``beta`` (K, 3), the
     (S+1, K) ``trace`` of losses (finite until a row stopped, NaN after),
-    ``converged`` (K,) and ``steps_used`` (K,); NaN, False and 0 in a row
-    that never entered the fit.  ``history`` is (steps, K, 3) if asked."""
+    ``converged`` (K,) and ``steps_used`` (K,), at least 1 in every row.
+    ``history`` is (steps, K, 3) if asked."""
 
     beta: np.ndarray
     trace: np.ndarray
@@ -79,11 +80,11 @@ class CohortFit:
 
     @property
     def results(self):
-        """A FitResult per row; None for a row that took no step (unfitted)."""
+        """A FitResult per row, its loss trace the row's recorded losses."""
         traces = self.trace.T.tolist()
         for k in np.flatnonzero(np.isnan(self.trace).any(axis=0)):
             traces[k] = [v for v in traces[k] if v == v] or [float("nan")]
-        return [FitResult(Beta.from_array(b), t, c, s) if s else None
+        return [FitResult(Beta.from_array(b), t, c, s)
                 for b, t, c, s in zip(self.beta, traces,
                                       self.converged.tolist(),
                                       self.steps_used.tolist())]
@@ -94,41 +95,31 @@ def fit_shared(cohort, spec, config=None, record_history=False, *,
     """Fit a :class:`~gapfit.model.Cohort` jointly under a sharing spec;
     returns a :class:`CohortFit`.
 
-    Rows with fewer than 2 reports are left out; the others must cover the
-    same days.  With an empty ``shared_dims`` these are independent fits,
-    which is how :func:`gapfit.optimizer.fit_cohort` runs them.
-    ``overrides``, when given, is the per-hospital ``(eta, init)`` pair that
-    ``config``'s ``auto_eta`` and ``warm_start`` give the hospitals with 2
-    or more reports (each None when off), so that a caller fitting one
-    cohort under several specs computes it once.
+    Every row is fitted: all must cover the same days, and a row with fewer
+    than 2 reports raises :class:`InsufficientDataError`, as in
+    :func:`gapfit.optimizer.fit`.  With an empty ``shared_dims`` these are
+    independent fits, which is how :func:`gapfit.optimizer.fit_cohort` runs
+    them.  ``overrides``, when given, is the ``(eta, init)`` pair that
+    ``config``'s ``auto_eta`` and ``warm_start`` give, one row per cohort
+    row (each None when off), so that a caller fitting one cohort under
+    several specs computes it once.
     """
     if config is None:
         config = FitConfig()
-    K = len(cohort)
-    if K < 1:
+    if len(cohort) < 1:
         raise UsageError("cohort must contain at least one series")
-    usable = np.flatnonzero(cohort.n_reports >= 2)
+    short = np.flatnonzero(cohort.n_reports < 2)
+    if short.size:
+        raise InsufficientDataError(
+            f"series {cohort.ids[short[0]]!r} has fewer than 2 reports")
+    cohort.T  # rows of different lengths raise
+    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
+    eta, init = (_resolve_overrides(y, r, z, config) if overrides is None
+                 else overrides)
+    shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
     history = [] if record_history else None
-    if usable.size:
-        fitted = cohort if usable.size == K else cohort.take(usable)
-        fitted.T  # rows of different lengths raise
-        y, r, z = fitted.y, fitted.r, fitted.z * config.incidence_scale
-        eta, init = (_resolve_overrides(y, r, z, config) if overrides is None
-                     else overrides)
-        shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
-        out = _run_batch(y, r, z, config, shared_dims=shared0, eta=eta,
-                         init=init, history=history)
-    if usable.size == K:
-        fit = CohortFit(*out)
-    else:
-        fit = CohortFit(np.full((K, 3), np.nan),
-                        np.full((config.steps + 1, K), np.nan),
-                        np.zeros(K, dtype=bool), np.zeros(K, dtype=int))
-        if usable.size:
-            (fit.beta[usable], fit.trace[:, usable], fit.converged[usable],
-             fit.steps_used[usable]) = out
+    fit = CohortFit(*_run_batch(y, r, z, config, shared_dims=shared0,
+                                eta=eta, init=init, history=history))
     if history is not None:
-        fit.history = np.full((len(history), K, 3), np.nan)
-        if history:
-            fit.history[:, usable] = history
+        fit.history = np.array(history)
     return fit

@@ -215,6 +215,42 @@ def test_censor_emits_block_per_rate(tmp_path):
     assert len(rates) == 2
 
 
+def test_censor_repeated_rate_exits_2_before_writing(tmp_path, capsys):
+    outdir = _simulate(tmp_path, extra=("--complete",))
+    cendir = tmp_path / "cen"
+    rc = _run("censor", "--input", str(outdir / "cohort.csv"),
+              "--output-dir", str(cendir), "--reps", "2",
+              "--rates", "0.25,0.5,0.250", "--steps", "20")
+    assert rc == 2
+    assert "0.25" in capsys.readouterr().err
+    assert not cendir.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "sensitivity"])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                             command):
+    # numpy raises MemoryError when a fit's (steps + 1, K) trace cannot be
+    # allocated; injected here rather than asked of the host
+    message = ("Unable to allocate 21.8 TiB for an array with shape "
+               "(1000000000001, 3) and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    outdir = _simulate(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr("gapfit.sharing._run_batch", refuse)
+    target = tmp_path / "out"
+    extra = ("--window-len", "20") if command == "sensitivity" else ()
+    rc = _run(command, "--input", str(outdir / "cohort.csv"),
+              "--output-dir", str(target), "--steps", "1000000000000", *extra)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command}: out of memory ({message})\n"
+    assert "Traceback" not in captured.out + captured.err
+    assert not target.exists()
+
+
 def test_gradcheck_runs_and_rejects_zero_trials(tmp_path):
     assert _run("gradcheck", "--trials", "25", "--seed", "3") == 0
     assert _run("gradcheck", "--trials", "0") == 2

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gapfit.errors import UsageError
-from gapfit.model import Cohort
+from gapfit.errors import InsufficientDataError, UsageError
+from gapfit.model import Beta, Cohort, loss
 from gapfit.optimizer import (FitConfig, _loss_grad_batch, _Residuals, fit,
-                              jacobi_etas)
+                              fit_cohort, jacobi_etas)
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
 from conftest import make_series, random_gapped_series
@@ -88,12 +88,22 @@ def test_permutation_invariance():
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_underreported_hospitals_excluded_not_fatal():
-    cohort = Cohort.from_series(
-        [*_cohort(4, n=3), make_series([None, 5, None, None], id="bad")])
-    joint = fit_shared(cohort, SharingSpec(frozenset({1})), FitConfig(steps=40))
-    assert joint.results[3] is None
-    assert all(r is not None for r in joint.results[:3])
+def test_a_row_with_one_report_raises_on_every_fit_path():
+    # one rule for every fit: the first row with fewer than 2 reports raises,
+    # with the message of model.loss, the kernel's oracle
+    rows = list(_cohort(4, n=3))
+    rows.insert(1, make_series([None] * 10 + [5] + [None] * 9, id="bad"))
+    cohort = Cohort.from_series(rows)
+    config = FitConfig(steps=5)
+    message = "series 'bad' has fewer than 2 reports"
+    calls = [lambda spec=spec: fit_shared(cohort, spec, config)
+             for spec in ALL_SHARING_SPECS]
+    calls += [lambda: fit_cohort(cohort, config), lambda: fit(rows[1], config),
+              lambda: loss(cohort, Beta()), lambda: loss(rows[1], Beta())]
+    for call in calls:
+        with pytest.raises(InsufficientDataError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_history_records_shared_means_per_step():
