@@ -157,10 +157,22 @@ def _load(args):
         log.warning("%s", w)
     if not cohort:
         raise UsageError(f"no usable hospitals in {args['input']}")
+    _scaled(cohort.ids, cohort.z, args.get("incidence_scale", 1.0))
     # Python's order of the ids themselves: a numpy string array would drop
     # trailing NUL characters
     return cohort.take(sorted(range(len(cohort)),
                               key=cohort.ids.__getitem__))
+
+
+def _scaled(ids, z, scale):
+    """``z * scale``; an overflow is a usage error that names the first
+    hospital with one, in Python's order of the ids."""
+    with np.errstate(over="ignore"):
+        z = z * scale
+    bad = [ids[k] for k in np.flatnonzero(~np.isfinite(z).all(axis=1))]
+    if bad:
+        raise UsageError(f"scaled incidence must be finite: {min(bad)!r}")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +443,7 @@ def cmd_predict(args):
     r = np.isfinite(y)
     coefs = np.array([betas[hid].as_array() for hid in ids])
     y_tilde, dy_hat = predict_trajectory(
-        y, r, z * args["incidence_scale"], coefs.reshape(-1, 3))
+        y, r, _scaled(ids, z, args["incidence_scale"]), coefs.reshape(-1, 3))
     # each row's days, then its forecast days; a state exists from the
     # first report on, an increment after it
     t = np.arange(y.shape[1])

@@ -20,7 +20,7 @@ from .benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                          predict_mean, predict_modified_mean)
 from .errors import UsageError
 from .model import Cohort, predict_trajectory
-from .optimizer import FitConfig, _resolve_overrides
+from .optimizer import FitConfig, _setup
 from .sharing import SharingSpec, fit_shared
 
 __all__ = ["EvalReport", "WindowSpec", "CensorSpec", "BenchmarkPredictor",
@@ -107,13 +107,12 @@ class IncrementPredictor:
 
     def predict_cohort(self, cohort, heads=None):
         """``heads``, when given, is the cohort's :func:`_heads`, so that a
-        caller predicting one cohort under several specs builds it once."""
-        usable, heads, overrides = heads or _heads(cohort, self.config)
+        caller predicting one cohort under several specs sets it up once."""
+        usable, heads, setup = heads or _heads(cohort, self.config)
         beta = np.zeros((len(cohort), 3))
         ok = np.zeros(len(cohort), dtype=bool)
         if len(usable):
-            fit = fit_shared(heads, self.sharing, self.config,
-                             overrides=overrides)
+            fit = fit_shared(heads, self.sharing, self.config, setup=setup)
             ok[usable] = fit.converged
             beta[usable[fit.converged]] = fit.beta[fit.converged]
         y_tilde, dy_hat = predict_trajectory(
@@ -123,11 +122,11 @@ class IncrementPredictor:
 
 def _heads(cohort, config):
     """The rows with the 2 reports before the final day that a fit needs,
-    the cohort of those rows without the final day, and its ``(eta, init)``
-    pair under ``config`` (see :func:`fit_shared`)."""
+    the cohort of those rows without the final day, and its fit's
+    :func:`gapfit.optimizer._setup` under ``config`` (None without rows)."""
     usable = np.flatnonzero(cohort.r[:, :-1].sum(axis=1) >= 2)
     heads = cohort.take(usable).window(1, cohort.T - 1)
-    return usable, heads, (_resolve_overrides(
+    return usable, heads, (_setup(
         heads.y, heads.r, heads.z * config.incidence_scale, config)
         if len(heads) else None)
 
@@ -228,7 +227,7 @@ def sensitivity_run(cohort, sharing_specs, config=None,
 
     Only the fit, bridge and score depend on the sharing combination.  Each
     window's arrays, baseline report, fallback predictions, rows to fit and
-    their step sizes and starts are computed once and serve every spec.
+    their setup (step sizes, starts and residual layout) serve every spec.
     """
     if config is None:
         config = FitConfig()

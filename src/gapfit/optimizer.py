@@ -8,13 +8,13 @@ cohort, and it owns every rule of a shared dimension: a common start, a
 common step size, an average after every step and a convergence test on the
 joint loss.  It takes the loss and gradient of every hospital from one
 gap-aware numpy kernel over the cohort, :func:`_loss_grad_batch`.  Once per
-fit, :class:`_Residuals` splits the scored residuals by whether the previous
-day was reported.  Those that follow a report are linear in beta, and one QR
-factor per hospital scores them in O(1) per step.  Those that close a gap are
-flattened into segments and bridged one gap depth at a time, carrying the
-state and its three forward sensitivities d(state)/d(beta).  The test suite
-pins this kernel, alone and through the driver, to the reverse-mode tape of
-:func:`gapfit.model.loss` and to finite differences.
+set of rows, :class:`_Residuals` splits the scored residuals by whether the
+previous day was reported.  Those that follow a report are linear in beta,
+and one QR factor per hospital scores them in O(1) per step.  Those that
+close a gap are flattened into segments and bridged one gap depth at a time,
+carrying the state and its three forward sensitivities d(state)/d(beta).
+The test suite pins this kernel, alone and through the driver, to the
+reverse-mode tape of :func:`gapfit.model.loss` and to finite differences.
 
 The kernel is deterministic, and a hospital's result does not depend on which
 other hospitals share its batch: identical inputs produce bit-identical fits.
@@ -116,7 +116,7 @@ def detect_divergence(trace, beta):
 
 
 class _Residuals:
-    """The scored residuals of a cohort, laid out once per fit.
+    """The scored residuals of a cohort, laid out once per set of rows.
 
     A residual on day t whose previous day was reported is (1, y[t-1],
     z[t-1]) . beta - dy[t], dy[t] = y[t] - y[t-1].  Those rows of a hospital,
@@ -216,27 +216,21 @@ def _loss_grad_batch(res, beta, lam):
     return lossv, grad
 
 
-def _per_row(values, K):
-    return np.array(np.broadcast_to(np.asarray(values, dtype=float), (K, 3)))
-
-
-def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
-               history=None):
+def _run_batch(y, r, z, config, shared_dims, setup):
     """The one driver of every cohort fit, with or without shared dimensions.
 
-    ``shared_dims`` holds 0-based coefficient indices that start from one
-    common value, step with one common size and are averaged across active
-    hospitals after every step.  ``eta`` and ``init`` may replace the config step sizes / initial
-    parameters with per-hospital (K, 3) arrays.  ``history``, when a list,
-    receives a copy of the (K, 3) parameters after every step.
+    ``setup`` is the rows' :func:`_setup`, read only: a shared dimension
+    rewrites copies of its step sizes and starts.  ``shared_dims`` holds
+    0-based coefficient indices that start from one common value, step with
+    one common size and are averaged across active hospitals after every step.
 
     Returns (beta (K, 3), trace (S+1, K) of losses, finite until a row
     stopped and NaN after, converged (K,) bools, steps_used (K,)).
     """
     K = y.shape[0]
     S = config.steps
-    beta = _per_row(config.init.as_array() if init is None else init, K)
-    eta = _per_row(config.eta if eta is None else eta, K)
+    eta, beta, res = setup
+    eta, beta = np.array(eta, dtype=float), np.array(beta, dtype=float)
     for j in shared_dims:
         # A shared dimension must start from a single common value, otherwise
         # the first post-step average looks like a loss jump against a
@@ -246,7 +240,7 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
         # descent step on the joint objective; take the most conservative one.
         eta[:, j] = eta[:, j].min()
     adam = config.method == "adam"
-    loss_grad = partial(_loss_grad_batch, _Residuals(y, r, z))
+    loss_grad = partial(_loss_grad_batch, res)
     m = np.zeros((K, 3))
     v = np.zeros((K, 3))
     trace = np.full((S + 1, K), np.nan)
@@ -271,8 +265,6 @@ def _run_batch(y, r, z, config, shared_dims=(), eta=None, init=None,
             if shared_dims and active.any():
                 for j in shared_dims:
                     beta[active, j] = beta[active, j].mean()
-            if history is not None:
-                history.append(beta.copy())
             if not active.any():
                 break
         lossv, _ = loss_grad(beta, config.lam)
@@ -336,15 +328,21 @@ def warm_start_inits(y, r, z, config):
     try:
         inits, _ = fit_linreg_locf(locf_impute(y, r), z)
     except InsufficientDataError:
-        return _per_row(config.init.as_array(), len(y))
+        return np.tile(config.init.as_array(), (len(y), 1))
     return inits
 
 
-def _resolve_overrides(y, r, z, config):
-    """Per-hospital (eta, init) from ``auto_eta`` and ``warm_start``, else None."""
-    eta = jacobi_etas(y, r, z, config) if config.auto_eta else None
-    init = warm_start_inits(y, r, z, config) if config.warm_start else None
-    return eta, init
+def _setup(y, r, z, config):
+    """(eta, init, layout): what a fit of these rows needs before its first
+    step, under any sharing spec.  ``z`` is scaled.  The (K, 3) ``eta`` and
+    ``init`` come from :func:`jacobi_etas` and :func:`warm_start_inits` when
+    ``auto_eta`` and ``warm_start`` are on, else from ``config`` on every
+    row; ``layout`` is the rows' :class:`_Residuals`."""
+    eta = (jacobi_etas(y, r, z, config) if config.auto_eta
+           else np.tile(config.eta, (len(y), 1)))
+    init = (warm_start_inits(y, r, z, config) if config.warm_start
+            else np.tile(config.init.as_array(), (len(y), 1)))
+    return eta, init, _Residuals(y, r, z)
 
 
 def fit_cohort(cohort, config):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, UsageError
 from .model import Beta
-from .optimizer import FitConfig, FitResult, _resolve_overrides, _run_batch
+from .optimizer import FitConfig, FitResult, _run_batch, _setup
 
 __all__ = ["SharingSpec", "CohortFit", "fit_shared", "ALL_SHARING_SPECS"]
 
@@ -69,14 +69,12 @@ ALL_SHARING_SPECS = tuple(
 class CohortFit:
     """The driver's arrays over a cohort's K rows: ``beta`` (K, 3), the
     (S+1, K) ``trace`` of losses (finite until a row stopped, NaN after),
-    ``converged`` (K,) and ``steps_used`` (K,), at least 1 in every row.
-    ``history`` is (steps, K, 3) if asked."""
+    ``converged`` (K,) and ``steps_used`` (K,), at least 1 in every row."""
 
     beta: np.ndarray
     trace: np.ndarray
     converged: np.ndarray
     steps_used: np.ndarray
-    history: np.ndarray | None = None
 
     @property
     def results(self):
@@ -90,8 +88,7 @@ class CohortFit:
                                       self.steps_used.tolist())]
 
 
-def fit_shared(cohort, spec, config=None, record_history=False, *,
-               overrides=None):
+def fit_shared(cohort, spec, config=None, *, setup=None):
     """Fit a :class:`~gapfit.model.Cohort` jointly under a sharing spec;
     returns a :class:`CohortFit`.
 
@@ -99,10 +96,9 @@ def fit_shared(cohort, spec, config=None, record_history=False, *,
     than 2 reports raises :class:`InsufficientDataError`, as in
     :func:`gapfit.optimizer.fit`.  With an empty ``shared_dims`` these are
     independent fits, which is how :func:`gapfit.optimizer.fit_cohort` runs
-    them.  ``overrides``, when given, is the ``(eta, init)`` pair that
-    ``config``'s ``auto_eta`` and ``warm_start`` give, one row per cohort
-    row (each None when off), so that a caller fitting one cohort under
-    several specs computes it once.
+    them.  ``setup``, when given, is the rows' :func:`gapfit.optimizer._setup`
+    under ``config`` (step sizes, starts and residual layout), so that a
+    caller fitting one cohort under several specs builds it once.
     """
     if config is None:
         config = FitConfig()
@@ -114,12 +110,6 @@ def fit_shared(cohort, spec, config=None, record_history=False, *,
             f"series {cohort.ids[short[0]]!r} has fewer than 2 reports")
     cohort.T  # rows of different lengths raise
     y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
-    eta, init = (_resolve_overrides(y, r, z, config) if overrides is None
-                 else overrides)
     shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
-    history = [] if record_history else None
-    fit = CohortFit(*_run_batch(y, r, z, config, shared_dims=shared0,
-                                eta=eta, init=init, history=history))
-    if history is not None:
-        fit.history = np.array(history)
-    return fit
+    return CohortFit(*_run_batch(y, r, z, config, shared0,
+                                 setup or _setup(y, r, z, config)))

@@ -122,3 +122,21 @@ def on_tape(call, *args, **kwargs):
                    lambda y, r, z: Cohort(range(len(y)), y, z))
         mp.setattr(optimizer, "_loss_grad_batch", _loss_grad_tape)
         return call(*args, **kwargs)
+
+
+def with_steps(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and the (steps, K, 3) parameters of its fit
+    after every step.  The driver calls the kernel once on its start and
+    then once on each step's new parameters, so every call but the first
+    gives one step's parameters."""
+    seen = []
+    kernel = optimizer._loss_grad_batch
+
+    def spy(res, beta, lam):
+        seen.append(beta.copy())
+        return kernel(res, beta, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_loss_grad_batch", spy)
+        out = call(*args, **kwargs)
+    return out, np.array(seen[1:])

@@ -23,7 +23,7 @@ from gapfit.model import Beta, Cohort, HospitalSeries, expand_gap, loss, \
 from gapfit.optimizer import FitConfig, fit_cohort
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
-from conftest import ACCEPTANCE_LINES, make_series
+from conftest import ACCEPTANCE_LINES, make_series, with_steps
 
 
 def _report(n, label, ok, detail):
@@ -165,10 +165,10 @@ def test_criterion_07_sharing_invariants():
     config = FitConfig(steps=80)
 
     # equality of shared dimensions after every step
-    joint = fit_shared(cohort, SharingSpec(frozenset({1, 3})), config,
-                       record_history=True)
+    _, history = with_steps(fit_shared, cohort,
+                            SharingSpec(frozenset({1, 3})), config)
     spread = 0.0
-    for mat in joint.history:
+    for mat in history:
         for d in (0, 2):
             col = mat[np.isfinite(mat).all(axis=1), d]
             spread = max(spread, float(np.ptp(col)))

@@ -123,6 +123,54 @@ def test_simulate_with_overflow_hidden_by_the_mask_exits_2(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def _exits_2_quietly(capsys, outdir, message, *argv):
+    """``argv`` exits 2 with ``message``, warns nothing and writes nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--steps", "5"]),
+    ("benchmark", ["--steps", "5"]),
+    ("sensitivity", ["--steps", "5", "--window-len", "12"]),
+    ("censor", ["--steps", "5", "--rates", "0.25", "--reps", "1"]),
+    ("predict", []),
+], ids=["fit", "benchmark", "sensitivity", "censor", "predict"])
+def test_overflowing_scaled_incidence_exits_2(tmp_path, capsys, command,
+                                              flags):
+    # every fit would fall back, and predict would write -inf increments
+    sim = _simulate(tmp_path, extra=["--complete"] if command == "censor"
+                    else [])
+    out = tmp_path / "out"
+    if command == "predict":
+        _write(tmp_path / "params.csv", ["hospital_id", "b1", "b2", "b3"],
+               [["h0", "0.1", "0.0", "0.0"]])
+        flags = ["--params", str(tmp_path / "params.csv")]
+    _exits_2_quietly(capsys, out, "scaled incidence must be finite: 'h0'",
+                     command, "--input", str(sim / "cohort.csv"),
+                     "--output-dir", str(out), "--incidence-scale", "1e308",
+                     *flags)
+
+
+def test_predict_with_overflowing_future_incidence_exits_2(tmp_path, capsys):
+    # the cohort's incidence scales to 1e308; only the future days overflow
+    _write_tables(tmp_path, _predict_tables())
+    out = tmp_path / "out"
+    _exits_2_quietly(capsys, out, "scaled incidence must be finite: 'a'",
+                     "predict", "--input", str(tmp_path / "cohort.csv"),
+                     "--output-dir", str(out),
+                     "--params", str(tmp_path / "params.csv"),
+                     "--horizon", "3",
+                     "--future-z", str(tmp_path / "future.csv"),
+                     "--incidence-scale", "1e308")
+
+
 def test_fit_and_share_all_equalizes_parameters(tmp_path):
     outdir = _simulate(tmp_path)
     fitdir = tmp_path / "fit"

@@ -340,9 +340,9 @@ def test_sensitivity_matches_per_spec_reference_loop():
 def test_sensitivity_fits_each_window_spec_through_fit_shared(monkeypatch):
     # the benchmark counts fits by a hook on evaluation's fit_shared: one
     # call per (window, spec) over the window's usable hospitals, and the
-    # heads, step sizes and warm starts once per window
+    # heads, step sizes, warm starts and residual layout once per window
     calls = {"fit_shared": [], "jacobi_etas": 0, "warm_start_inits": 0,
-             "_heads": 0}
+             "_heads": 0, "_Residuals": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -356,7 +356,7 @@ def test_sensitivity_fits_each_window_spec_through_fit_shared(monkeypatch):
 
     monkeypatch.setattr(evaluation, "fit_shared",
                         counted("fit_shared", evaluation.fit_shared))
-    for name in ("jacobi_etas", "warm_start_inits"):
+    for name in ("jacobi_etas", "warm_start_inits", "_Residuals"):
         monkeypatch.setattr(optimizer, name,
                             counted(name, getattr(optimizer, name)))
     monkeypatch.setattr(evaluation, "_heads",
@@ -373,7 +373,7 @@ def test_sensitivity_fits_each_window_spec_through_fit_shared(monkeypatch):
         usable.append(int((days[:, :-1].sum(axis=1) >= 2).sum()))
     assert len(usable) >= 4
     assert calls["jacobi_etas"] == calls["warm_start_inits"] == len(usable)
-    assert calls["_heads"] == len(usable)
+    assert calls["_heads"] == calls["_Residuals"] == len(usable)
     expected = [n for n in usable for _ in ALL_SHARING_SPECS]
     assert [n for n, _ in calls["fit_shared"]] == expected
     for n, results in calls["fit_shared"]:

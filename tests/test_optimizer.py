@@ -390,8 +390,8 @@ def test_fits_that_start_at_their_optimum_do_not_fall_back():
     config = FitConfig(auto_eta=True, warm_start=True, eta_safety=0.05,
                        steps=10)
     cohort, _ = simulate_cohort(SimSpec(n_hospitals=500, n_days=70, seed=3))
-    usable, heads, overrides = _heads(cohort.window(1, 69), config)
-    fit = fit_shared(heads, SharingSpec(), config, overrides=overrides)
+    usable, heads, setup = _heads(cohort.window(1, 69), config)
+    fit = fit_shared(heads, SharingSpec(), config, setup=setup)
     assert len(usable) == 500
     assert fit.converged.all()
 
@@ -414,7 +414,8 @@ def test_trace_is_finite_until_a_row_stops_then_nan(method, dims):
     init[0, 2] = 1e200
     fit = fit_shared(cohort, SharingSpec(frozenset(dims)),
                      FitConfig(steps=S, method=method, incidence_scale=1.0),
-                     overrides=(eta, init))
+                     setup=(eta, init, _Residuals(cohort.y, cohort.r,
+                                                  cohort.z)))
     trace, steps = fit.trace, fit.steps_used
     recorded = ~np.isnan(trace)
     n = recorded.sum(axis=0)

@@ -7,7 +7,7 @@ from gapfit.optimizer import (FitConfig, _loss_grad_batch, _Residuals, fit,
                               fit_cohort, jacobi_etas)
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
-from conftest import make_series, random_gapped_series
+from conftest import make_series, random_gapped_series, with_steps
 
 
 def _cohort(seed, n=5, T=20):
@@ -51,14 +51,16 @@ def test_empty_sharing_bitwise_matches_independent_fits():
 def test_shared_dims_equal_after_every_step():
     cohort = _cohort(2, n=6)
     spec = SharingSpec(frozenset({1, 3}))
-    joint = fit_shared(cohort, spec, FitConfig(steps=60), record_history=True)
-    assert joint.history is not None and len(joint.history) == 60
-    for mat in joint.history:
+    joint, history = with_steps(fit_shared, cohort, spec,
+                                FitConfig(steps=60))
+    assert len(history) == 60
+    np.testing.assert_array_equal(history[-1], joint.beta)
+    for mat in history:
         for d in (1, 3):
             col = mat[np.isfinite(mat).all(axis=1), d - 1]
             assert np.ptp(col) <= 1e-15
     # the individual dimension genuinely differs across hospitals
-    final = joint.history[-1]
+    final = history[-1]
     assert np.ptp(final[:, 1]) > 0
 
 
@@ -109,13 +111,13 @@ def test_a_row_with_one_report_raises_on_every_fit_path():
 def test_history_records_shared_means_per_step():
     cohort = _cohort(5, n=4)
     spec = SharingSpec(frozenset({1, 2}))
-    joint = fit_shared(cohort, spec, FitConfig(steps=30), record_history=True)
-    assert len(joint.history) == 30
+    _, history = with_steps(fit_shared, cohort, spec, FitConfig(steps=30))
+    assert len(history) == 30
     for d in (1, 2):
-        means = [float(np.nanmean(h[:, d - 1])) for h in joint.history]
+        means = [float(np.nanmean(h[:, d - 1])) for h in history]
         assert all(np.isfinite(v) for v in means)
     # the shared means move with the fit
-    assert joint.history[0][0, 0] != joint.history[-1][0, 0]
+    assert history[0][0, 0] != history[-1][0, 0]
 
 
 def test_shared_convergence_judged_on_joint_loss():
@@ -135,14 +137,13 @@ def test_shared_dimension_steps_with_the_smallest_step_size():
     # becomes the mean of -eta_min * gradient, not of -eta_k * gradient.
     cohort = _cohort(7, n=4)
     config = FitConfig(steps=1, auto_eta=True)
-    joint = fit_shared(cohort, SharingSpec(frozenset({2})), config,
-                       record_history=True)
+    joint = fit_shared(cohort, SharingSpec(frozenset({2})), config)
     y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
     etas = jacobi_etas(y, r, z, config)
     assert np.ptp(etas[:, 1]) > 0
     _, grad = _loss_grad_batch(_Residuals(y, r, z), np.zeros((4, 3)), 0.0)
     expected = np.mean(-etas[:, 1].min() * grad[:, 1])
-    assert joint.history[0][:, 1] == pytest.approx(expected, rel=1e-12)
+    assert joint.beta[:, 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_empty_cohort_rejected():

@@ -216,3 +216,20 @@ def test_every_fit_option_is_a_cli_flag_or_library_only():
         encoding="utf-8"), "_fit_config", "FitConfig")
     fields = {f.name for f in dataclasses.fields(FitConfig)}
     assert fields - set_by_cli == LIBRARY_ONLY
+
+
+def test_every_fit_shared_keyword_is_passed_in_the_package():
+    # as for FitConfig's fields: a keyword that no caller in the package
+    # passes is a fit path that only the tests reach
+    tree = ast.parse((PACKAGE / "sharing.py").read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "fit_shared")
+    params = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+    options = params[params.index("config") + 1:]
+    passed = {kw.arg for path in PACKAGE.glob("*.py")
+              for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(call, ast.Call)
+              and _called_name(call) == "fit_shared"
+              for kw in call.keywords}
+    assert options
+    assert set(options) - passed == set()
