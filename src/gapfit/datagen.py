@@ -389,7 +389,7 @@ def _write_columns(path, header, blocks):
 
 
 class _CsvColumns:
-    """A UTF-8 CSV file read as chunks of named columns.
+    """A UTF-8 CSV file, BOM or not, read as chunks of named columns.
 
     Use as a context manager.  ``header`` is the file's first row (None for
     an empty file); :meth:`read` converts and checks every record after it.
@@ -404,7 +404,7 @@ class _CsvColumns:
 
     def __init__(self, path, names, key=None):
         self.path = path
-        self._fh = open(path, newline="", encoding="utf-8")
+        self._fh = open(path, newline="", encoding="utf-8-sig")
         self._reader = csv.reader(self._fh)
         self._error = None  # a failed read, raised once the rows before it pass
         try:
@@ -494,7 +494,7 @@ class _CsvColumns:
         cells.  ``message`` is a format string over the record's raw
         ``cells``, those cells ``stripped`` (see :func:`_stripped`) and the
         record's ``keys``."""
-        with open(self.path, newline="", encoding="utf-8") as fh:
+        with open(self.path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             next(reader)
             row = next(islice(filter(None, reader), record, None))

@@ -126,9 +126,7 @@ def _heads(cohort, config):
     :func:`gapfit.optimizer._setup` under ``config`` (None without rows)."""
     usable = np.flatnonzero(cohort.r[:, :-1].sum(axis=1) >= 2)
     heads = cohort.take(usable).window(1, cohort.T - 1)
-    return usable, heads, (_setup(
-        heads.y, heads.r, heads.z * config.incidence_scale, config)
-        if len(heads) else None)
+    return usable, heads, _setup(heads, config) if len(heads) else None
 
 
 def last_point_error(cohort, predictor, fallback_predictor=None):
@@ -353,6 +351,8 @@ def censor_and_recover(cohort, spec, config=None):
         raise UsageError(
             f"series {cohort.ids[gapped[0]]!r} is not fully reported")
     T = cohort.T
+    if T < 4:
+        raise UsageError(f"censor-and-recover needs at least 4 days, got T={T}")
     n_censor = int(round(spec.rate * T))
     if T - n_censor < 2:
         raise UsageError(

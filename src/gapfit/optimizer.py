@@ -23,7 +23,7 @@ A row whose loss or gradient turns non-finite gets NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -44,7 +44,7 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters for one fit.
+    """Hyperparameters for one fit; every field is a CLI flag.
 
     ``eta`` holds per-parameter step sizes; the default keeps the incidence
     coefficient's step an order of magnitude below the others.  ``incidence_scale``
@@ -53,13 +53,13 @@ class FitConfig:
 
     ``auto_eta`` replaces ``eta`` with per-hospital steps from
     :func:`jacobi_etas` (scaled by ``eta_safety``); ``warm_start`` replaces
-    ``init`` with per-hospital OLS starts from :func:`warm_start_inits`.
+    the zero start with per-hospital OLS starts from :func:`warm_start_inits`.
+    :func:`_setup` builds both; other starts go to ``fit_shared(setup=)``.
     """
 
     eta: tuple = (1e-3, 1e-3, 1e-4)
     steps: int = 1000
     lam: float = 0.0
-    init: Beta = field(default_factory=Beta)
     method: str = "gd"
     incidence_scale: float = 0.01
     auto_eta: bool = False
@@ -216,7 +216,7 @@ def _loss_grad_batch(res, beta, lam):
     return lossv, grad
 
 
-def _run_batch(y, r, z, config, shared_dims, setup):
+def _run_batch(y, r, config, shared_dims, setup):
     """The one driver of every cohort fit, with or without shared dimensions.
 
     ``setup`` is the rows' :func:`_setup`, read only: a shared dimension
@@ -295,54 +295,54 @@ def _judge_convergence(trace, beta, shared):
     return finite & (last <= first)
 
 
-def jacobi_etas(y, r, z, config):
+def jacobi_etas(v, z, config):
     """Per-hospital, per-parameter step sizes from the LOCF-imputed design.
 
-    ``y``, ``r`` and ``z`` are the cohort's (K, T) arrays, ``z`` already
-    multiplied by ``config.incidence_scale``.  Scales each coordinate by the
-    inverse diagonal of H = (2/n) X'X, the Hessian of the fully observed
-    least-squares objective.  ``config.eta_safety`` trades speed against
-    stability; the bridged loss is sharper than the imputed design suggests,
-    so values much above 0.2 can destabilize heavily gapped series.  Returns
-    a (K, 3) array of step sizes.
+    ``v`` is the cohort's (K, T) LOCF-imputed counts and ``z`` its incidence,
+    already multiplied by ``config.incidence_scale``.  Scales each coordinate
+    by the inverse diagonal of H = (2/n) X'X, the Hessian of the fully
+    observed least-squares objective.  ``config.eta_safety`` trades speed
+    against stability; the bridged loss is sharper than the imputed design
+    suggests, so values much above 0.2 can destabilize heavily gapped
+    series.  Returns a (K, 3) array of step sizes.
     """
-    from .benchmarks import locf_impute
-
-    v = locf_impute(y, r)
-    n = y.shape[1] - 1
+    n = v.shape[1] - 1
     x = np.stack([np.ones((len(v), n)), v[:, :-1], z[:, :-1]], axis=-1)
     h = 2.0 * np.einsum("kij,kij->kj", x, x) / n
     return config.eta_safety / np.maximum(h, 1e-12)
 
 
-def warm_start_inits(y, r, z, config):
+def warm_start_inits(v, z):
     """Per-hospital starting points from OLS on the LOCF-imputed increments.
 
     Takes the same arrays as :func:`jacobi_etas`.  Exact for fully observed
     noiseless series; elsewhere a starting point a few gradient steps from
-    the optimum.  Series too short for the regression start at
-    ``config.init``.  Returns a (K, 3) array.
+    the optimum.  Series too short for the regression start at zero.
+    Returns a (K, 3) array.
     """
-    from .benchmarks import fit_linreg_locf, locf_impute
+    from .benchmarks import fit_linreg_locf
 
     try:
-        inits, _ = fit_linreg_locf(locf_impute(y, r), z)
+        return fit_linreg_locf(v, z)[0]
     except InsufficientDataError:
-        return np.tile(config.init.as_array(), (len(y), 1))
-    return inits
+        return np.zeros((len(v), 3))
 
 
-def _setup(y, r, z, config):
-    """(eta, init, layout): what a fit of these rows needs before its first
-    step, under any sharing spec.  ``z`` is scaled.  The (K, 3) ``eta`` and
-    ``init`` come from :func:`jacobi_etas` and :func:`warm_start_inits` when
-    ``auto_eta`` and ``warm_start`` are on, else from ``config`` on every
-    row; ``layout`` is the rows' :class:`_Residuals`."""
-    eta = (jacobi_etas(y, r, z, config) if config.auto_eta
+def _setup(cohort, config):
+    """(eta, init, layout) for a fit of the rows of ``cohort`` under any
+    spec: the (K, 3) step sizes and starts and the :class:`_Residuals`.  z is
+    scaled once, and the rows are LOCF-imputed once for :func:`jacobi_etas`
+    under ``auto_eta`` and :func:`warm_start_inits` under ``warm_start``;
+    else every row takes ``config.eta`` and starts at zero."""
+    from .benchmarks import locf_impute
+
+    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
+    layout = _Residuals(y, r, z)  # before the imputed rows, for peak memory
+    v = locf_impute(y, r) if config.auto_eta or config.warm_start else None
+    eta = (jacobi_etas(v, z, config) if config.auto_eta
            else np.tile(config.eta, (len(y), 1)))
-    init = (warm_start_inits(y, r, z, config) if config.warm_start
-            else np.tile(config.init.as_array(), (len(y), 1)))
-    return eta, init, _Residuals(y, r, z)
+    init = warm_start_inits(v, z) if config.warm_start else np.zeros((len(y), 3))
+    return eta, init, layout
 
 
 def fit_cohort(cohort, config):

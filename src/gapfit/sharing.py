@@ -96,9 +96,10 @@ def fit_shared(cohort, spec, config=None, *, setup=None):
     than 2 reports raises :class:`InsufficientDataError`, as in
     :func:`gapfit.optimizer.fit`.  With an empty ``shared_dims`` these are
     independent fits, which is how :func:`gapfit.optimizer.fit_cohort` runs
-    them.  ``setup``, when given, is the rows' :func:`gapfit.optimizer._setup`
-    under ``config`` (step sizes, starts and residual layout), so that a
-    caller fitting one cohort under several specs builds it once.
+    them.  ``setup`` is the rows' step sizes, starts and residual layout,
+    as :func:`gapfit.optimizer._setup` builds them from ``cohort`` and
+    ``config`` when it is not given; a caller fitting one cohort under
+    several specs builds it once, and a caller may start where it likes.
     """
     if config is None:
         config = FitConfig()
@@ -109,7 +110,6 @@ def fit_shared(cohort, spec, config=None, *, setup=None):
         raise InsufficientDataError(
             f"series {cohort.ids[short[0]]!r} has fewer than 2 reports")
     cohort.T  # rows of different lengths raise
-    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
     shared0 = tuple(d - 1 for d in sorted(spec.shared_dims))
-    return CohortFit(*_run_batch(y, r, z, config, shared0,
-                                 setup or _setup(y, r, z, config)))
+    return CohortFit(*_run_batch(cohort.y, cohort.r, config, shared0,
+                                 setup or _setup(cohort, config)))

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -271,6 +272,23 @@ def test_censor_repeated_rate_exits_2_before_writing(tmp_path, capsys):
               "--rates", "0.25,0.5,0.250", "--steps", "20")
     assert rc == 2
     assert "0.25" in capsys.readouterr().err
+    assert not cendir.exists()
+
+
+def test_censor_on_fewer_than_4_days_exits_2_before_any_fit(tmp_path, capsys,
+                                                           monkeypatch):
+    fits = []
+    monkeypatch.setattr("gapfit.evaluation.fit_shared",
+                        lambda *args, **kwargs: fits.append(args))
+    cohort = tmp_path / "cohort.csv"
+    _write(cohort, ["hospital_id", "day", "cases", "incidence"],
+           [[h, d, 2.0 + d, 1.0] for h in "ab" for d in (1, 2, 3)])
+    cendir = tmp_path / "cen"
+    rc = _run("censor", "--input", str(cohort), "--output-dir", str(cendir),
+              "--reps", "2", "--rates", "0.25", "--steps", "20")
+    assert rc == 2
+    assert "needs at least 4 days, got T=3" in capsys.readouterr().err
+    assert fits == []
     assert not cendir.exists()
 
 
@@ -727,6 +745,18 @@ def test_bad_bytes_exit_1_naming_the_file(tmp_path, capsys, target, kind):
     assert not (tmp_path / "out").exists()
 
 
+def test_predict_reads_files_with_a_byte_order_mark(tmp_path):
+    _write_tables(tmp_path, _predict_tables())
+    assert _predict(tmp_path) == 0
+    plain = _read(tmp_path / "out" / "trajectory.csv")
+    for name in ("cohort", "params", "future"):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    (tmp_path / "out").rename(tmp_path / "plain")
+    assert _predict(tmp_path) == 0
+    assert _read(tmp_path / "out" / "trajectory.csv") == plain
+
+
 # -- the params and future-z readers against row-by-row ones ----------------
 
 def _reference_rows(path, names):
@@ -882,6 +912,32 @@ def _table_outcome(load, path):
     except ParseError as exc:
         return str(exc), exc.line
     return [(key, repr(value)) for key, value in table.items()]
+
+
+def _load_cohort_table(path):
+    cohort, warnings = datagen.load_cohort(path)
+    return {"ids": cohort.ids, "y": cohort.y.tobytes(),
+            "z": cohort.z.tobytes(), "warnings": warnings}
+
+
+@pytest.mark.parametrize("target", ["cohort", "params", "future"])
+def test_readers_accept_a_utf8_byte_order_mark(tmp_path, target):
+    # spreadsheet "CSV UTF-8" exports start the file with one
+    load = {"cohort": _load_cohort_table,
+            **{name: pair[0] for name, pair in _TABLE_READERS.items()}}[target]
+    _write_tables(tmp_path, _predict_tables())
+    path = tmp_path / f"{target}.csv"
+    good = path.read_bytes()
+    line = len(good.splitlines()) + 1
+    outcomes = []
+    for text in (good, good + b"a,x,x,x\r\n"):
+        for bom in (b"", codecs.BOM_UTF8):
+            path.write_bytes(bom + text)
+            outcomes.append(_table_outcome(load, path))
+    plain, with_bom, fault, fault_with_bom = outcomes
+    assert isinstance(plain, list) and with_bom == plain
+    assert fault_with_bom == fault
+    assert fault[0].startswith(f"{path}:{line}: bad ") and fault[1] == line
 
 
 @pytest.mark.parametrize("target", ["params", "future"])

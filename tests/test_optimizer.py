@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapfit import autodiff
+from gapfit import autodiff, benchmarks
 from gapfit.benchmarks import fit_linreg_locf, locf_impute
 from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.evaluation import _heads
 from gapfit.model import Beta, Cohort, HospitalSeries, loss
 from gapfit.optimizer import (FitConfig, _judge_convergence,
-                              _Residuals, _loss_grad_batch,
+                              _Residuals, _loss_grad_batch, _setup,
                               detect_divergence, fit, fit_cohort, jacobi_etas,
                               l2_penalty, warm_start_inits)
 from gapfit.sharing import SharingSpec, fit_shared
@@ -159,10 +159,17 @@ def test_warm_start_at_truth_stays_there():
     for t in range(1, T):
         y[t] = y[t - 1] + true.b1 + true.b2 * y[t - 1] + true.b3 * z[t - 1]
     s = HospitalSeries("w", y, z)
-    config = FitConfig(steps=200, incidence_scale=1.0, init=true)
-    res = fit(s, config)
-    assert np.abs(res.beta.as_array() - true.as_array()).max() < 1e-10
-    assert res.converged
+    config = FitConfig(steps=200, incidence_scale=1.0)
+    cohort = Cohort.from_series([s])
+    eta, _, layout = _setup(cohort, config)
+    at_truth = fit_shared(cohort, SharingSpec(), config,
+                          setup=(eta, true.as_array()[None], layout))
+    # the warm start of a noiseless, fully reported series is the truth
+    warm = fit(s, FitConfig(steps=200, incidence_scale=1.0, warm_start=True))
+    for beta, converged in ((at_truth.beta[0], at_truth.converged[0]),
+                            (warm.beta.as_array(), warm.converged)):
+        assert np.abs(beta - true.as_array()).max() < 1e-10
+        assert converged
 
 
 def test_batch_and_tape_engines_agree():
@@ -492,8 +499,7 @@ def test_warm_start_inits_match_locf_ols():
     rng = np.random.Generator(np.random.PCG64(83))
     cohort = Cohort.from_series([random_gapped_series(rng, T=20, id=f"i{i}")
                                  for i in range(4)])
-    config = FitConfig(incidence_scale=1.0)
-    inits = warm_start_inits(cohort.y, cohort.r, cohort.z, config)
+    inits = warm_start_inits(locf_impute(cohort.y, cohort.r), cohort.z)
     for k, s in enumerate(cohort):
         expected = fit_linreg_locf(locf_impute(s.y)[None], s.z[None])[0][0]
         assert inits[k] == pytest.approx(expected, rel=1e-12)
@@ -513,21 +519,48 @@ def test_jacobi_etas_and_warm_starts_match_per_series_loops():
         h = 2.0 * np.einsum("ij,ij->j", x, x) / (s.T - 1)
         etas[k] = config.eta_safety / np.maximum(h, 1e-12)
         inits[k] = fit_linreg_locf(y[None], z[None])[0][0]
-    y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
-    np.testing.assert_array_equal(jacobi_etas(y, r, z, config), etas)
-    np.testing.assert_array_equal(warm_start_inits(y, r, z, config), inits)
-    # too short for the regression: every row starts at config.init
-    config = FitConfig(init=Beta(0.1, -0.2, 0.3))
+    v, z = locf_impute(cohort.y, cohort.r), cohort.z * config.incidence_scale
+    np.testing.assert_array_equal(jacobi_etas(v, z, config), etas)
+    np.testing.assert_array_equal(warm_start_inits(v, z), inits)
+    # too short for the regression: every row starts at zero
+    np.testing.assert_array_equal(warm_start_inits(v[:4, :3], z[:4, :3]),
+                                  np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("auto_eta, warm_start, imputations",
+                         [(True, True, 1), (True, False, 1),
+                          (False, True, 1), (False, False, 0)])
+def test_setup_imputes_the_rows_once(monkeypatch, auto_eta, warm_start,
+                                     imputations):
+    # step sizes and warm starts read one LOCF imputation of the rows; it is
+    # looked up on gapfit.benchmarks at call time, where the benchmark's
+    # tracer counts it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return locf_impute(*args)
+
+    monkeypatch.setattr(benchmarks, "locf_impute", counted)
+    rng = np.random.Generator(np.random.PCG64(59))
+    cohort = Cohort.from_series([random_gapped_series(rng, T=20, id=f"s{i}")
+                                 for i in range(6)])
+    config = FitConfig(auto_eta=auto_eta, warm_start=warm_start)
+    eta, init, _ = _setup(cohort, config)
+    assert len(calls) == imputations
+    v, z = locf_impute(cohort.y, cohort.r), cohort.z * config.incidence_scale
     np.testing.assert_array_equal(
-        warm_start_inits(y[:4, :3], r[:4, :3], z[:4, :3], config),
-        np.tile([0.1, -0.2, 0.3], (4, 1)))
+        eta, jacobi_etas(v, z, config) if auto_eta
+        else np.tile(config.eta, (6, 1)))
+    np.testing.assert_array_equal(
+        init, warm_start_inits(v, z) if warm_start else np.zeros((6, 3)))
 
 
 def test_jacobi_etas_shape_and_positivity():
     rng = np.random.Generator(np.random.PCG64(91))
     cohort = Cohort.from_series([random_gapped_series(rng, T=20, id=f"j{i}")
                                  for i in range(5)])
-    arrays = cohort.y, cohort.r, cohort.z
+    arrays = locf_impute(cohort.y, cohort.r), cohort.z
     etas = jacobi_etas(*arrays, FitConfig(eta_safety=0.2))
     assert etas.shape == (5, 3)
     assert np.all(etas > 0)

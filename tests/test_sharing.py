@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gapfit.benchmarks import locf_impute
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.model import Beta, Cohort, loss
 from gapfit.optimizer import (FitConfig, _loss_grad_batch, _Residuals, fit,
@@ -139,7 +140,7 @@ def test_shared_dimension_steps_with_the_smallest_step_size():
     config = FitConfig(steps=1, auto_eta=True)
     joint = fit_shared(cohort, SharingSpec(frozenset({2})), config)
     y, r, z = cohort.y, cohort.r, cohort.z * config.incidence_scale
-    etas = jacobi_etas(y, r, z, config)
+    etas = jacobi_etas(locf_impute(y, r), z, config)
     assert np.ptp(etas[:, 1]) > 0
     _, grad = _loss_grad_batch(_Residuals(y, r, z), np.zeros((4, 3)), 0.0)
     expected = np.mean(-etas[:, 1].min() * grad[:, 1])

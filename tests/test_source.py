@@ -184,11 +184,11 @@ def test_record_faults_formatted_only_by_the_one_reader(path):
     assert found == []
 
 
-# FitConfig fields that no CLI flag sets.  ``init`` is a start point for
-# library callers; on the command line ``--warm-start`` picks one per
-# hospital.  Any other field must be set by cli._fit_config: a fit option
-# that only the tests reach is a second code path that no run exercises.
-LIBRARY_ONLY = {"init"}
+# FitConfig fields that no CLI flag sets: none.  Every field must be set
+# by cli._fit_config: a fit option that only the tests reach is a second
+# code path that no run exercises.  A library caller with starts of its own
+# passes them to fit_shared(setup=).
+LIBRARY_ONLY = set()
 
 
 def keywords_passed(source, function, callee):
