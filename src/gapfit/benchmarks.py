@@ -4,9 +4,10 @@ regression on last-observation-carried-forward imputed data.
 All of them work on the LOCF-imputed series; leading missing entries are
 backfilled from the first report so the imputed series keeps full length.
 Each model is one row-wise function of a (K, T) cohort, which the evaluation
-protocols and the optimizer's warm start call once per cohort; only the
-regression still solves one ``lstsq`` per row.  The zero model predicts a
-zero increment everywhere and needs no function of its own.
+protocols and the optimizer's warm start call once per cohort, with no loop
+over rows: the regression solves every row through one stacked QR and SVD.
+The zero model predicts a zero increment everywhere and needs no function of
+its own.
 """
 
 from __future__ import annotations
@@ -66,19 +67,25 @@ def predict_modified_mean(v):
 def fit_linreg_locf(v, z):
     """Per-row OLS of the imputed ``v``'s increments on (1, v_prev, z_prev).
 
-    ``v`` and ``z`` are (K, T); each row is solved in closed form by
-    ``lstsq`` on its own design, and a rank-deficient design gets the
-    minimum-norm solution and is flagged.  Returns (coefficients (K, 3),
-    rank-deficient (K,)).
+    ``v`` and ``z`` are (K, T).  Every row's design [X | dv] is factored at
+    once by one stacked QR, and the 3 x 3 triangle R of each row is solved
+    through its SVD as ``lstsq`` solves X: singular values at or below
+    ``lstsq``'s cutoff, eps * (T-1) * the largest, count as zero, and a
+    row with one is rank-deficient and gets the minimum-norm solution.
+    Returns (coefficients (K, 3), rank-deficient (K,)).
     """
     T = v.shape[-1]
     if T < 4:
         raise InsufficientDataError("linear regression needs at least 4 days")
-    target = np.diff(v)
-    design = np.stack([np.ones_like(target), v[:, :-1], z[:, :-1]], axis=-1)
-    coefs = np.empty((len(v), 3))
-    deficient = np.empty(len(v), dtype=bool)
-    for k, (x, dy) in enumerate(zip(design, target)):
-        coefs[k], _, rank, _ = np.linalg.lstsq(x, dy, rcond=None)
-        deficient[k] = rank < 3
-    return coefs, deficient
+    a = np.empty((len(v), T - 1, 4))
+    a[..., 0] = 1.0
+    a[..., 1] = v[:, :-1]
+    a[..., 2] = z[:, :-1]
+    np.subtract(v[:, 1:], v[:, :-1], out=a[..., 3])
+    f = np.linalg.qr(a, mode="r")
+    u, s, vt = np.linalg.svd(f[:, :3, :3])
+    kept = s > np.finfo(float).eps * (T - 1) * s[:, :1]
+    # beta = V diag(1/s) U' qdy over the kept singular values
+    w = np.einsum("kji,kj->ki", u, f[:, :3, 3])
+    w = np.divide(w, s, out=np.zeros_like(w), where=kept)
+    return np.einsum("kji,kj->ki", vt, w), ~kept.all(axis=1)

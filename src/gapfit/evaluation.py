@@ -225,7 +225,8 @@ def sensitivity_run(cohort, sharing_specs, config=None,
 
     Only the fit, bridge and score depend on the sharing combination.  Each
     window's arrays, baseline report, fallback predictions, rows to fit and
-    their setup (step sizes, starts and residual layout) serve every spec.
+    their setup (step sizes, starts and residual layout) serve every spec;
+    under the mean baseline, its predictions are the fallback's.
     """
     if config is None:
         config = FitConfig()
@@ -244,8 +245,8 @@ def sensitivity_run(cohort, sharing_specs, config=None,
         skip = "empty" if not kept.any() else None
         if not skip:
             part = cohort.take(kept).window(w.start, w.end)
-            base_report = _score(baseline_predictor.tag, part,
-                                 baseline_predictor.predict_cohort(part))
+            base_outcome = baseline_predictor.predict_cohort(part)
+            base_report = _score(baseline_predictor.tag, part, base_outcome)
             if not base_report.errors:
                 skip = f"{base_report.model} scored no hospital"
         if skip:
@@ -253,7 +254,9 @@ def sensitivity_run(cohort, sharing_specs, config=None,
             for spec in sharing_specs:
                 per_spec_diffs[spec.label].append(float("nan"))
             continue
-        fallback_outcome = fallback.predict_cohort(part)
+        fallback_outcome = (base_outcome
+                            if baseline_predictor.kind is BenchmarkKind.MEAN
+                            else fallback.predict_cohort(part))
         heads = _heads(part, config)
         for spec, predictor in zip(sharing_specs, predictors):
             model_report = _score(predictor.tag, part,
@@ -367,7 +370,7 @@ def censor_and_recover(cohort, spec, config=None):
             np.random.SeedSequence([spec.seed, int(spec.rate * 10000), rep])))
         y = truth.copy()
         for k in range(K):
-            y[k, rng.choice(np.arange(1, T), size=n_censor, replace=False)] = np.nan
+            y[k, rng.choice(T - 1, size=n_censor, replace=False) + 1] = np.nan
         r = np.isfinite(y)
         # every row keeps 2 reports, so every row has a fit
         fit = fit_shared(Cohort(cohort.ids, y, z), SharingSpec(), config)

@@ -131,7 +131,9 @@ class _Residuals:
     day t after the last report on day t0 < t-1, with depth g = t-1-t0
     carried steps.  Segments are sorted deepest first (stable on hospital,
     day), so the ones still carrying at depth j are the prefix of length
-    ``len(z_depth[j])``.
+    ``len(z_depth[j])``.  ``bins`` repeats their hospitals four times, the
+    i-th copy offset by i * K, so one ``bincount`` sums the loss and the
+    three gradient terms of every hospital.
     """
 
     def __init__(self, y, r, z):
@@ -163,6 +165,7 @@ class _Residuals:
         self.z_depth = [z[hosp[:n], anchor_day[:n] + j]
                         for j, n in enumerate(carrying)]
         self.count = direct.sum(axis=1) + np.bincount(hosp, minlength=K)
+        self.bins = (hosp + K * np.arange(4)[:, None]).ravel()
 
 
 def _loss_grad_batch(res, beta, lam):
@@ -178,35 +181,39 @@ def _loss_grad_batch(res, beta, lam):
     # the after-report residuals: ||R beta - qdy||^2 + rss (see _Residuals)
     u = (res.R * beta.T).sum(axis=1) - res.qdy
     sqe = (u * u).sum(axis=0) + res.rss
-    g0, g1, g2 = (res.R * u[:, None]).sum(axis=0)
+    g = (res.R * u[:, None]).sum(axis=0)
     if res.hosp.size:
-        h = res.hosp
-        c1, c2, c3 = beta[h, 0], beta[h, 1], beta[h, 2]
+        c1, c2, c3 = np.ascontiguousarray(beta.T).take(res.hosp, axis=1)
         x = res.anchor.copy()
-        d0 = np.zeros_like(x)
-        d1 = np.zeros_like(x)
-        d2 = np.zeros_like(x)
+        d = np.zeros((3, len(x)))
         growth = 1.0 + c2
         for zj in res.z_depth:
             # one carried day for the first n segments, in place:
             # (d0, d1, d2) <- growth*(d0, d1, d2) + (1, state, z), then
             # state <- growth*state + b1 + b3*z
             n = len(zj)
-            gn, xn = growth[:n], x[:n]
-            for d, dpred in ((d0, 1.0), (d1, xn), (d2, zj)):
-                dn = d[:n]
-                dn *= gn
-                dn += dpred
+            gn, xn, dn = growth[:n], x[:n], d[:, :n]
+            dn *= gn
+            dn[0] += 1.0
+            dn[1] += xn
+            dn[2] += zj
             xn *= gn
             xn += c1[:n]
             xn += c3[:n] * zj
         e = c1 + c2 * x + c3 * res.z_last - (res.target - x)
-        sqe += np.bincount(h, e * e, K)
-        g0 += np.bincount(h, e * (growth * d0 + 1.0), K)
-        g1 += np.bincount(h, e * (growth * d1 + x), K)
-        g2 += np.bincount(h, e * (growth * d2 + res.z_last), K)
+        # e^2 and e * de/d(beta), summed per hospital in one pass
+        w = np.empty((4, len(x)))
+        np.multiply(e, e, out=w[0])
+        de = np.multiply(growth, d, out=w[1:])
+        de[0] += 1.0
+        de[1] += x
+        de[2] += res.z_last
+        de *= e
+        sums = np.bincount(res.bins, w.ravel(), 4 * K).reshape(4, K)
+        sqe += sums[0]
+        g += sums[1:]
     lossv = sqe / res.count
-    grad = np.stack([g0, g1, g2], axis=1) * (2.0 / res.count)[:, None]
+    grad = (g * (2.0 / res.count)).T
     if lam > 0.0:
         lossv = lossv + lam * (beta * beta).sum(axis=1)
         grad = grad + (2.0 * lam) * beta

@@ -95,6 +95,20 @@ def _parse_count(cell, what, path, lineno):
     return value
 
 
+def linreg_lstsq(v, z):
+    """Same contract as :func:`gapfit.benchmarks.fit_linreg_locf`, one
+    ``np.linalg.lstsq`` per row: the per-row loop the stacked solve
+    replaced, kept as its oracle."""
+    target = np.diff(v)
+    design = np.stack([np.ones_like(target), v[:, :-1], z[:, :-1]], axis=-1)
+    coefs = np.empty((len(v), 3))
+    deficient = np.empty(len(v), dtype=bool)
+    for k, (x, dy) in enumerate(zip(design, target)):
+        coefs[k], _, rank, _ = np.linalg.lstsq(x, dy, rcond=None)
+        deficient[k] = rank < 3
+    return coefs, deficient
+
+
 def _loss_grad_tape(rows, beta, lam):
     """Same contract as :func:`gapfit.optimizer._loss_grad_batch`, from the
     loss on a tape.

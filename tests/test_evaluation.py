@@ -4,7 +4,7 @@ import pytest
 from gapfit.benchmarks import (BenchmarkKind, fit_linreg_locf, locf_impute,
                                predict_mean)
 from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
-from gapfit import evaluation, optimizer
+from gapfit import benchmarks, evaluation, optimizer
 from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.evaluation import (BenchmarkPredictor, CensorSpec,
                                IncrementPredictor, _rebuild_benchmarks,
@@ -379,6 +379,32 @@ def test_sensitivity_fits_each_window_spec_through_fit_shared(monkeypatch):
     for n, results in calls["fit_shared"]:
         assert len(results) == n
         assert all(res is not None for res in results)
+
+
+@pytest.mark.parametrize("baseline, per_window",
+                         [(BenchmarkKind.MEAN, 1), (BenchmarkKind.ZERO, 1),
+                          (BenchmarkKind.MODIFIED_MEAN, 2)])
+def test_sensitivity_reuses_the_mean_baseline_as_fallback(
+        monkeypatch, baseline, per_window):
+    # the mean baseline's predictions serve as the fallback's; any other
+    # baseline leaves the fallback one mean prediction of its own, beside
+    # the one inside the modified mean
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return predict_mean(v)
+
+    monkeypatch.setattr(evaluation, "predict_mean", counted)
+    monkeypatch.setattr(benchmarks, "predict_mean", counted)
+    y = np.cumsum(np.random.Generator(np.random.PCG64(8)).uniform(
+        0.0, 3.0, (6, 12)), axis=1)
+    cohort = Cohort([f"h{k}" for k in range(6)], y, np.ones((6, 12)))
+    report = sensitivity_run(cohort, ALL_SHARING_SPECS[:2],
+                             FitConfig(steps=3), baseline=baseline,
+                             window_length=8)
+    assert not np.isnan(report.rows[0].diffs).any()
+    assert calls == [(6, 8)] * (per_window * len(report.windows))
 
 
 # -- censor and recover -----------------------------------------------------
