@@ -14,10 +14,9 @@ from .evaluation import (BenchmarkPredictor, CensorSpec, EvalReport,
                          IncrementPredictor, WindowSpec, censor_and_recover,
                          censor_sweep, last_point_error, sensitivity_run,
                          sliding_windows)
-from .model import (Beta, Cohort, HospitalSeries, expand_gap, loss,
-                    predict_trajectory)
-from .optimizer import (FitConfig, FitResult, detect_divergence, fit,
-                        fit_cohort, jacobi_etas, l2_penalty, warm_start_inits)
+from .model import Beta, Cohort, HospitalSeries, loss, predict_trajectory
+from .optimizer import (FitConfig, FitResult, fit, fit_cohort, jacobi_etas,
+                        warm_start_inits)
 from .sharing import ALL_SHARING_SPECS, CohortFit, SharingSpec, fit_shared
 
 __version__ = "0.1.0"

@@ -129,7 +129,7 @@ def missingness_mask(T, spec, seed):
         starts = rng.random(T) < spec.gap_start_prob
         for t in np.nonzero(starts)[0]:
             length = rng.geometric(1.0 / spec.mean_gap_length)
-            r[t:t + length] = False
+            r[t:t + min(length, T - t)] = False
         r[0] = True
         if r.sum() >= 2:
             return r

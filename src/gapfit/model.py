@@ -27,8 +27,7 @@ import numpy as np
 from . import autodiff
 from .errors import InsufficientDataError, UsageError
 
-__all__ = ["HospitalSeries", "Cohort", "Beta", "loss", "predict_trajectory",
-           "expand_gap"]
+__all__ = ["HospitalSeries", "Cohort", "Beta", "loss", "predict_trajectory"]
 
 
 @dataclass(frozen=True)
@@ -280,26 +279,3 @@ def predict_trajectory(y, r, z, beta):
             y_tilde[:, t] = state
     return y_tilde, dy_hat
 
-
-def expand_gap(y_anchor, z_window, beta, gap_len):
-    """Predicted increment after ``gap_len`` carried steps, in closed form.
-
-    Explicit polynomial expansion of the carry-forward recursion: starting from
-    state ``y_anchor``, after g missing days the state is
-
-        a*(1+b2)^g + sum_j (1+b2)^(g-1-j) * (b1 + b3*z[j])
-
-    and the returned value is the next predicted increment from that state.
-    ``z_window`` must supply the gap_len+1 covariate values consumed along the
-    way.  Agrees exactly with the recursion in :func:`predict_trajectory`.
-    """
-    if gap_len < 0:
-        raise ValueError("gap_len must be >= 0")
-    if len(z_window) != gap_len + 1:
-        raise ValueError("z_window must have gap_len + 1 entries")
-    b1, b2, b3 = _coefs(beta)
-    growth = 1.0 + b2
-    state = y_anchor * growth ** gap_len
-    for j in range(gap_len):
-        state += growth ** (gap_len - 1 - j) * (b1 + b3 * z_window[j])
-    return b1 + b2 * state + b3 * z_window[gap_len]

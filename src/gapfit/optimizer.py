@@ -15,6 +15,8 @@ close a gap are flattened into segments and bridged one gap depth at a time,
 carrying the state and its three forward sensitivities d(state)/d(beta).
 The test suite pins this kernel, alone and through the driver, to the
 reverse-mode tape of :func:`gapfit.model.loss` and to finite differences.
+That oracle, its L2 penalty and the per-row divergence rule live in
+``tests/conftest.py``; no fit uses the tape engine.
 
 The kernel is deterministic, and a hospital's result does not depend on which
 other hospitals share its batch: identical inputs produce bit-identical fits.
@@ -28,12 +30,11 @@ from functools import partial
 
 import numpy as np
 
-from . import autodiff
 from .errors import InsufficientDataError, UsageError
 from .model import Beta, Cohort
 
-__all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "l2_penalty",
-           "detect_divergence", "jacobi_etas", "warm_start_inits"]
+__all__ = ["FitConfig", "FitResult", "fit", "fit_cohort", "jacobi_etas",
+           "warm_start_inits"]
 
 
 # ADAM's moment decay rates and denominator guard, at their usual values.
@@ -88,27 +89,6 @@ class FitResult:
     loss_trace: list
     converged: bool
     steps_used: int
-
-
-def l2_penalty(beta, lam):
-    """lam * (b1^2 + b2^2 + b3^2); differentiable through the tape engine."""
-    if lam < 0:
-        raise UsageError("lambda must be nonnegative")
-    if isinstance(beta, Beta):
-        beta = (beta.b1, beta.b2, beta.b3)
-    b1, b2, b3 = beta
-    return lam * (autodiff.square(b1) + autodiff.square(b2) + autodiff.square(b3))
-
-
-def detect_divergence(trace, beta):
-    """True iff the trace or parameters are non-finite, or the loss rose overall."""
-    if len(trace) == 0:
-        raise UsageError("empty loss trace")
-    arr = np.asarray(trace, dtype=float)
-    b = beta.as_array() if isinstance(beta, Beta) else np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(arr)) or not np.all(np.isfinite(b)):
-        return True
-    return bool(arr[-1] > arr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +261,7 @@ def _run_batch(y, r, config, shared_dims, setup):
 
 
 def _judge_convergence(trace, beta, shared):
-    """:func:`detect_divergence` of every row at once, as a (K,) mask.
+    """Which rows of a fit converged, as a (K,) mask.
 
     ``trace`` is the driver's (S+1, K) loss array, NaN where a row recorded
     no loss, and ``beta`` the final (K, 3) parameters.  A row converged if

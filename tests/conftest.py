@@ -5,9 +5,8 @@ import pytest
 
 from gapfit import autodiff, optimizer
 from gapfit.datagen import CohortTruth
-from gapfit.errors import ParseError
+from gapfit.errors import ParseError, UsageError
 from gapfit.model import Beta, Cohort, HospitalSeries, loss as model_loss
-from gapfit.optimizer import l2_penalty
 
 # one line per acceptance criterion, echoed after the run (see
 # pytest_terminal_summary below); populated by tests/test_acceptance.py
@@ -107,6 +106,55 @@ def linreg_lstsq(v, z):
         coefs[k], _, rank, _ = np.linalg.lstsq(x, dy, rcond=None)
         deficient[k] = rank < 3
     return coefs, deficient
+
+
+def l2_penalty(beta, lam):
+    """lam * (b1^2 + b2^2 + b3^2); differentiable through the tape engine.
+    The kernel applies its own penalty; this one is the tape oracle's."""
+    if lam < 0:
+        raise UsageError("lambda must be nonnegative")
+    if isinstance(beta, Beta):
+        beta = (beta.b1, beta.b2, beta.b3)
+    b1, b2, b3 = beta
+    return lam * (autodiff.square(b1) + autodiff.square(b2) + autodiff.square(b3))
+
+
+def detect_divergence(trace, beta):
+    """True iff the trace or parameters are non-finite, or the loss rose
+    overall: the per-row rule that ``optimizer._judge_convergence`` applies
+    to every row at once, kept as its oracle."""
+    if len(trace) == 0:
+        raise UsageError("empty loss trace")
+    arr = np.asarray(trace, dtype=float)
+    b = beta.as_array() if isinstance(beta, Beta) else np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(arr)) or not np.all(np.isfinite(b)):
+        return True
+    return bool(arr[-1] > arr[0])
+
+
+def expand_gap(y_anchor, z_window, beta, gap_len):
+    """Predicted increment after ``gap_len`` carried steps, in closed form.
+
+    Explicit polynomial expansion of the carry-forward recursion: starting from
+    state ``y_anchor``, after g missing days the state is
+
+        a*(1+b2)^g + sum_j (1+b2)^(g-1-j) * (b1 + b3*z[j])
+
+    and the returned value is the next predicted increment from that state.
+    ``z_window`` must supply the gap_len+1 covariate values consumed along the
+    way.  The oracle of the recursion in
+    :func:`gapfit.model.predict_trajectory` (criterion 3).
+    """
+    if gap_len < 0:
+        raise ValueError("gap_len must be >= 0")
+    if len(z_window) != gap_len + 1:
+        raise ValueError("z_window must have gap_len + 1 entries")
+    b1, b2, b3 = (beta.b1, beta.b2, beta.b3) if isinstance(beta, Beta) else beta
+    growth = 1.0 + b2
+    state = y_anchor * growth ** gap_len
+    for j in range(gap_len):
+        state += growth ** (gap_len - 1 - j) * (b1 + b3 * z_window[j])
+    return b1 + b2 * state + b3 * z_window[gap_len]
 
 
 def _loss_grad_tape(rows, beta, lam):

@@ -18,12 +18,11 @@ from gapfit.datagen import MissingnessSpec, SimSpec, simulate_cohort
 from gapfit.evaluation import (BenchmarkPredictor, IncrementPredictor,
                                censor_sweep, last_point_error,
                                sensitivity_run, sliding_windows)
-from gapfit.model import Beta, Cohort, HospitalSeries, expand_gap, loss, \
-    predict_trajectory
+from gapfit.model import Beta, Cohort, HospitalSeries, loss, predict_trajectory
 from gapfit.optimizer import FitConfig, fit_cohort
 from gapfit.sharing import ALL_SHARING_SPECS, SharingSpec, fit_shared
 
-from conftest import ACCEPTANCE_LINES, make_series, with_steps
+from conftest import ACCEPTANCE_LINES, expand_gap, make_series, with_steps
 
 
 def _report(n, label, ok, detail):

@@ -95,6 +95,18 @@ def test_bad_numeric_flag_exits_2(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_with_an_overflowing_gap_length_blanks_the_rest(tmp_path):
+    # a mean gap of 1e308 draws gaps of the int64 maximum; each must blank
+    # the rest of its row, as a gap of about 1e12 does, with no warning
+    cohorts = []
+    for mean in ("1e308", "1e12"):
+        outdir = tmp_path / mean
+        assert _run("simulate", "--output-dir", str(outdir),
+                    "--mean-gap-length", mean) == 0
+        cohorts.append(_read(outdir / "cohort.csv"))
+    assert cohorts[0] == cohorts[1]
+
+
 def test_simulate_with_overflowing_reports_exits_2(tmp_path, capsys):
     # an incidence scale of 1e308 drives the simulated counts to inf; they
     # must not be written as unreported days

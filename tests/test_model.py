@@ -6,11 +6,10 @@ from gapfit import autodiff
 from gapfit.benchmarks import fit_linreg_locf
 from gapfit.errors import GapfitError, InsufficientDataError, UsageError
 from gapfit.evaluation import IncrementPredictor
-from gapfit.model import (Beta, Cohort, HospitalSeries, expand_gap, loss,
-                          predict_trajectory)
+from gapfit.model import Beta, Cohort, HospitalSeries, loss, predict_trajectory
 from gapfit.optimizer import FitConfig
 
-from conftest import make_series, random_gapped_series
+from conftest import expand_gap, make_series, random_gapped_series
 
 
 # -- HospitalSeries invariants ----------------------------------------------

@@ -9,13 +9,12 @@ from gapfit.errors import InsufficientDataError, UsageError
 from gapfit.evaluation import _heads
 from gapfit.model import Beta, Cohort, HospitalSeries, loss
 from gapfit.optimizer import (FitConfig, _judge_convergence,
-                              _Residuals, _loss_grad_batch, _setup,
-                              detect_divergence, fit, fit_cohort, jacobi_etas,
-                              l2_penalty, warm_start_inits)
+                              _Residuals, _loss_grad_batch, _setup, fit,
+                              fit_cohort, jacobi_etas, warm_start_inits)
 from gapfit.sharing import SharingSpec, fit_shared
 
-from conftest import (_loss_grad_tape, make_series, on_tape,
-                      random_gapped_series)
+from conftest import (_loss_grad_tape, detect_divergence, l2_penalty,
+                      make_series, on_tape, random_gapped_series)
 
 
 def test_config_validation():

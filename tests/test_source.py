@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -45,10 +46,9 @@ def test_module_uses_every_import(path):
 SERIES_BUILDERS = {("model", None)}
 
 
-def calls(source, matches):
+def walk(source):
     """(enclosing top-level function or class, None at module level, and
-    line) of every call whose ``ast.Call`` node ``matches``."""
-    found = []
+    node) of every node of ``source``."""
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
@@ -57,12 +57,17 @@ def calls(source, matches):
                                                     ast.AsyncFunctionDef,
                                                     ast.ClassDef)):
                 inner = child.name
-            if isinstance(child, ast.Call) and matches(child):
-                found.append((where, child.lineno))
-            visit(child, inner)
+            yield where, child
+            yield from visit(child, inner)
 
-    visit(ast.parse(source), None)
-    return found
+    return visit(ast.parse(source), None)
+
+
+def calls(source, matches):
+    """(enclosing top-level function or class, None at module level, and
+    line) of every call whose ``ast.Call`` node ``matches``."""
+    return [(where, node.lineno) for where, node in walk(source)
+            if isinstance(node, ast.Call) and matches(node)]
 
 
 def _called_name(call):
@@ -233,3 +238,55 @@ def test_every_fit_shared_keyword_is_passed_in_the_package():
               for kw in call.keywords}
     assert options
     assert set(options) - passed == set()
+
+
+# The package's surface: every name gapfit/__init__.py exports is used by
+# the package itself or shown in README.md.  A name that only the tests
+# reach (an oracle) lives in tests/conftest.py.
+README = PACKAGE.parents[1] / "README.md"
+
+
+def references(source):
+    """Names that ``source`` imports or refers to, by name or by attribute,
+    outside the top-level function or class of the same name."""
+    return {name for where, node in walk(source)
+            for name in [node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else node.name if isinstance(node, ast.alias)
+                         else None]
+            if name is not None and name != where}
+
+
+def test_references_detector():
+    source = ("from .m import a as b\n"
+              "def f(x):\n    return f(x - 1) + g(x)\n"
+              "class C:\n    def h(self):\n        return C(), m.k\n"
+              "y = f(C)\n")
+    assert references(source) == {"a", "x", "g", "m", "k", "y", "f", "C"}
+    assert "f" not in references("def f(x):\n    return f(x)\n")
+
+
+def code_names(markdown):
+    """Identifiers shown as code in ``markdown``: in fenced blocks and in
+    inline code spans."""
+    parts = markdown.split("```")
+    code = parts[1::2] + [span for text in parts[::2]
+                          for span in re.findall(r"`([^`]*)`", text)]
+    return {name for text in code for name in re.findall(r"\w+", text)}
+
+
+def test_code_names_detector():
+    markdown = "a `f(x)` b\n```\ng = h\n```\nthe word k, `m.n`\n"
+    assert code_names(markdown) == {"f", "x", "g", "h", "m", "n"}
+
+
+def test_every_exported_name_is_used_or_documented():
+    exported = [alias.asname or alias.name for node in ast.parse(
+        (PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set().union(*(references(path.read_text(encoding="utf-8"))
+                         for path in MODULES))
+    shown = code_names(README.read_text(encoding="utf-8"))
+    assert exported
+    assert [name for name in exported
+            if name not in used and name not in shown] == []
